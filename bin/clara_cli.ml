@@ -195,37 +195,46 @@ let predict_cmd =
       { Clara_predict.Latency.default_config with
         Clara_predict.Latency.flow_cache_hit_ratio = hit_ratio }
     in
-    let p = Clara.predict ~config analysis trace in
-    Format.printf "%a@." Clara_predict.Latency.pp_prediction p;
-    let freq =
-      match L.Graph.general_cores lnic with u :: _ -> u.L.Unit_.freq_mhz | [] -> 1
-    in
-    Format.printf "mean latency: %.2f us at %d MHz@."
-      (p.Clara_predict.Latency.mean_cycles /. float_of_int freq)
-      freq;
-    (* Where the predicted cycles go, per packet type. *)
-    let predictor =
-      Clara_predict.Latency.create ~config lnic analysis.Clara.df
-        analysis.Clara.mapping
-    in
-    let att = Clara_predict.Latency.attribute_trace predictor trace in
-    Format.printf "attribution (mean cycles per packet):@.%a"
-      Clara_predict.Latency.pp_attribution att;
-    (match
-       Clara_predict.Throughput.latency_at_rate
-         ~base_cycles:p.Clara_predict.Latency.mean_cycles ~rate_pps:rate lnic
-         analysis.Clara.df analysis.Clara.mapping
-     with
-    | Some loaded when loaded > p.Clara_predict.Latency.mean_cycles +. 1. ->
-        Format.printf "with queueing at %.0f pps: %.0f cycles@." rate loaded
-    | Some _ -> ()
-    | None ->
-        Format.printf "warning: %.0f pps exceeds the predicted capacity@." rate);
-    Option.iter
-      (fun file ->
-        write_json_file file (Clara_predict.Latency.perfetto_timeline predictor trace);
-        Format.eprintf "clara: wrote predicted timeline to %s@." file)
-      trace_out;
+    (* One predictor serves every pass; each pass resets its state. *)
+    let obs = Clara_obs.Registry.default in
+    let sub name f = Clara_obs.Registry.span obs name f in
+    sub "predict" (fun () ->
+        let predictor =
+          Clara_predict.Latency.create ~config lnic analysis.Clara.df
+            analysis.Clara.mapping
+        in
+        let p = sub "walk" (fun () -> Clara_predict.Latency.predict_trace predictor trace) in
+        Format.printf "%a@." Clara_predict.Latency.pp_prediction p;
+        let freq =
+          match L.Graph.general_cores lnic with u :: _ -> u.L.Unit_.freq_mhz | [] -> 1
+        in
+        Format.printf "mean latency: %.2f us at %d MHz@."
+          (p.Clara_predict.Latency.mean_cycles /. float_of_int freq)
+          freq;
+        (* Where the predicted cycles go, per packet type. *)
+        let att =
+          sub "attribute" (fun () -> Clara_predict.Latency.attribute_trace predictor trace)
+        in
+        Format.printf "attribution (mean cycles per packet):@.%a"
+          Clara_predict.Latency.pp_attribution att;
+        (match
+           sub "queueing" (fun () ->
+               Clara_predict.Throughput.latency_at_rate
+                 ~base_cycles:p.Clara_predict.Latency.mean_cycles ~rate_pps:rate lnic
+                 analysis.Clara.df analysis.Clara.mapping)
+         with
+        | Some loaded when loaded > p.Clara_predict.Latency.mean_cycles +. 1. ->
+            Format.printf "with queueing at %.0f pps: %.0f cycles@." rate loaded
+        | Some _ -> ()
+        | None ->
+            Format.printf "warning: %.0f pps exceeds the predicted capacity@." rate);
+        Option.iter
+          (fun file ->
+            sub "timeline" (fun () ->
+                write_json_file file
+                  (Clara_predict.Latency.perfetto_timeline predictor trace));
+            Format.eprintf "clara: wrote predicted timeline to %s@." file)
+          trace_out);
     emit_stats ~stats ~stats_json
   in
   let doc = "Predict workload latency for an unported NF." in

@@ -89,97 +89,50 @@ let loc_access ctx ~mode (loc : Ir.loc) =
       mem_access_cycles ctx ~mode ~mem_id:(ctx.state_region s)
         ~footprint:(ctx.state_footprint s)
 
-let vcall_cycles ctx (v : Ir.vcall_info) =
+(* One pricing pass yields a node's total and where its cycles go.  Each
+   instruction's price is formed whole and then added to the running
+   total (vcall base, then state reads, then state writes; instructions
+   left to right; loop trip last), so the total does not depend on the
+   split, and it can differ from the float sum of the components by
+   rounding. *)
+
+type breakdown = { b_total : float; b_compute : float; b_mem : float; b_accel : float }
+
+type sums = {
+  mutable total : float;
+  mutable compute : float;
+  mutable mem : float;
+  mutable accel : float;
+}
+
+let add_compute s c =
+  s.total <- s.total +. c;
+  s.compute <- s.compute +. c
+
+(* Adds the vcall's price to [s]; [false] when the unit cannot run it. *)
+let add_vcall ctx s (v : Ir.vcall_info) =
   let params = ctx.lnic.L.Graph.params in
   let n = eval_size ctx.sizes v.Ir.size in
   match ctx.exec_unit.L.Unit_.kind with
   | L.Unit_.Accelerator kind -> (
       match P.accel_vcall_cost params kind v.Ir.vc with
-      | None -> None
+      | None -> false
       | Some f ->
           (* Accelerators keep their operands in dedicated SRAM (e.g. the
              flow cache); no extra per-access memory charge. *)
-          Some (L.Cost_fn.eval f n))
+          let c = L.Cost_fn.eval f n in
+          s.total <- s.total +. c;
+          s.accel <- s.accel +. c;
+          true)
   | L.Unit_.General_core _ -> (
       match P.core_vcall_cost params v.Ir.vc with
-      | None -> None
+      | None -> false
       | Some f -> (
           let base = L.Cost_fn.eval f n in
           match v.Ir.state with
-          | None -> Some base
-          | Some st -> (
-              let reads = eval_size ctx.sizes v.Ir.state_reads in
-              let writes = eval_size ctx.sizes v.Ir.state_writes in
-              let r = loc_access ctx ~mode:`Read (Ir.L_state st) in
-              let w = loc_access ctx ~mode:`Write (Ir.L_state st) in
-              match (r, w) with
-              | Some rc, Some wc -> Some (base +. (reads *. rc) +. (writes *. wc))
-              | _ -> None)))
-
-let instr_cycles ctx (i : Ir.instr) =
-  let params = ctx.lnic.L.Graph.params in
-  match i with
-  | Ir.Vcall v -> vcall_cycles ctx v
-  | Ir.Op cls -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } -> Some (P.op_cost params cls ~has_fpu))
-  | Ir.Load loc -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Option.map
-            (fun m -> m +. P.op_cost params P.Load ~has_fpu)
-            (loc_access ctx ~mode:`Read loc))
-  | Ir.Store loc -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Option.map
-            (fun m -> m +. P.op_cost params P.Store ~has_fpu)
-            (loc_access ctx ~mode:`Write loc))
-  | Ir.Atomic_op loc -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Option.map
-            (fun m -> m +. P.op_cost params P.Atomic ~has_fpu)
-            (loc_access ctx ~mode:`Atomic loc))
-
-(* Component breakdown of the same prices, for latency attribution.
-   Mirrors [vcall_cycles]/[instr_cycles]/[node_cycles] rather than
-   refactoring them: the totals those produce are summed in a specific
-   order by the predictor, and changing that order would drift existing
-   predictions by float rounding.  Consumers that need the components to
-   sum exactly to [node_cycles] should take compute as the residual. *)
-
-type breakdown = { b_compute : float; b_mem : float; b_accel : float }
-
-let bzero = { b_compute = 0.; b_mem = 0.; b_accel = 0. }
-
-let badd a b =
-  { b_compute = a.b_compute +. b.b_compute;
-    b_mem = a.b_mem +. b.b_mem;
-    b_accel = a.b_accel +. b.b_accel }
-
-let bscale k b =
-  { b_compute = k *. b.b_compute; b_mem = k *. b.b_mem; b_accel = k *. b.b_accel }
-
-let vcall_breakdown ctx (v : Ir.vcall_info) =
-  let params = ctx.lnic.L.Graph.params in
-  let n = eval_size ctx.sizes v.Ir.size in
-  match ctx.exec_unit.L.Unit_.kind with
-  | L.Unit_.Accelerator kind -> (
-      match P.accel_vcall_cost params kind v.Ir.vc with
-      | None -> None
-      | Some f -> Some { bzero with b_accel = L.Cost_fn.eval f n })
-  | L.Unit_.General_core _ -> (
-      match P.core_vcall_cost params v.Ir.vc with
-      | None -> None
-      | Some f -> (
-          let base = L.Cost_fn.eval f n in
-          match v.Ir.state with
-          | None -> Some { bzero with b_compute = base }
+          | None ->
+              add_compute s base;
+              true
           | Some st -> (
               let reads = eval_size ctx.sizes v.Ir.state_reads in
               let writes = eval_size ctx.sizes v.Ir.state_writes in
@@ -187,73 +140,70 @@ let vcall_breakdown ctx (v : Ir.vcall_info) =
               let w = loc_access ctx ~mode:`Write (Ir.L_state st) in
               match (r, w) with
               | Some rc, Some wc ->
-                  Some
-                    { bzero with
-                      b_compute = base;
-                      b_mem = (reads *. rc) +. (writes *. wc) }
-              | _ -> None)))
+                  let rm = reads *. rc and wm = writes *. wc in
+                  s.total <- s.total +. (base +. rm +. wm);
+                  s.compute <- s.compute +. base;
+                  s.mem <- s.mem +. (rm +. wm);
+                  true
+              | _ -> false)))
 
-let instr_breakdown ctx (i : Ir.instr) =
+let add_instr ctx s (i : Ir.instr) =
   let params = ctx.lnic.L.Graph.params in
-  let core_split op loc ~mode =
-    match ctx.exec_unit.L.Unit_.kind with
-    | L.Unit_.Accelerator _ -> None
-    | L.Unit_.General_core { has_fpu; _ } ->
-        Option.map
-          (fun m -> { bzero with b_compute = P.op_cost params op ~has_fpu; b_mem = m })
-          (loc_access ctx ~mode loc)
+  let access op loc ~mode ~has_fpu =
+    match loc_access ctx ~mode loc with
+    | None -> false
+    | Some m ->
+        let c = P.op_cost params op ~has_fpu in
+        s.total <- s.total +. (m +. c);
+        s.compute <- s.compute +. c;
+        s.mem <- s.mem +. m;
+        true
   in
-  match i with
-  | Ir.Vcall v -> vcall_breakdown ctx v
-  | Ir.Op cls -> (
-      match ctx.exec_unit.L.Unit_.kind with
-      | L.Unit_.Accelerator _ -> None
-      | L.Unit_.General_core { has_fpu; _ } ->
-          Some { bzero with b_compute = P.op_cost params cls ~has_fpu })
-  | Ir.Load loc -> core_split P.Load loc ~mode:`Read
-  | Ir.Store loc -> core_split P.Store loc ~mode:`Write
-  | Ir.Atomic_op loc -> core_split P.Atomic loc ~mode:`Atomic
+  match (i, ctx.exec_unit.L.Unit_.kind) with
+  | Ir.Vcall v, _ -> add_vcall ctx s v
+  | _, L.Unit_.Accelerator _ -> false
+  | Ir.Op cls, L.Unit_.General_core { has_fpu; _ } ->
+      add_compute s (P.op_cost params cls ~has_fpu);
+      true
+  | Ir.Load loc, L.Unit_.General_core { has_fpu; _ } ->
+      access P.Load loc ~mode:`Read ~has_fpu
+  | Ir.Store loc, L.Unit_.General_core { has_fpu; _ } ->
+      access P.Store loc ~mode:`Write ~has_fpu
+  | Ir.Atomic_op loc, L.Unit_.General_core { has_fpu; _ } ->
+      access P.Atomic loc ~mode:`Atomic ~has_fpu
 
-let node_breakdown ctx (n : Node.t) =
-  let body =
-    match n.Node.kind with
-    | Node.N_vcall v -> vcall_breakdown ctx v
-    | Node.N_compute is ->
-        List.fold_left
-          (fun acc i ->
-            match (acc, instr_breakdown ctx i) with
-            | Some a, Some c -> Some (badd a c)
-            | _ -> None)
-          (Some bzero) is
-  in
-  match body with
-  | None -> None
-  | Some b ->
-      let trip =
-        match n.Node.loop_trip with
-        | None -> 1.
-        | Some t -> Float.max 1. (eval_size ctx.sizes t)
-      in
-      Some (bscale trip b)
+let fresh () = { total = 0.; compute = 0.; mem = 0.; accel = 0. }
 
-let node_cycles ctx (n : Node.t) =
-  let body =
+let instr_cycles ctx i =
+  let s = fresh () in
+  if add_instr ctx s i then Some s.total else None
+
+(* The node's sums after its loop trip, or [None]. *)
+let node_sums ctx (n : Node.t) =
+  let s = fresh () in
+  let ok =
     match n.Node.kind with
-    | Node.N_vcall v -> vcall_cycles ctx v
-    | Node.N_compute is ->
-        List.fold_left
-          (fun acc i ->
-            match (acc, instr_cycles ctx i) with
-            | Some a, Some c -> Some (a +. c)
-            | _ -> None)
-          (Some 0.) is
+    | Node.N_vcall v -> add_vcall ctx s v
+    | Node.N_compute is -> List.for_all (add_instr ctx s) is
   in
-  match body with
+  if not ok then None
+  else begin
+    let k =
+      match n.Node.loop_trip with
+      | None -> 1.
+      | Some t -> Float.max 1. (eval_size ctx.sizes t)
+    in
+    s.total <- s.total *. k;
+    s.compute <- s.compute *. k;
+    s.mem <- s.mem *. k;
+    s.accel <- s.accel *. k;
+    Some s
+  end
+
+let node_breakdown ctx n =
+  match node_sums ctx n with
   | None -> None
-  | Some c ->
-      let trip =
-        match n.Node.loop_trip with
-        | None -> 1.
-        | Some t -> Float.max 1. (eval_size ctx.sizes t)
-      in
-      Some (c *. trip)
+  | Some s -> Some { b_total = s.total; b_compute = s.compute; b_mem = s.mem; b_accel = s.accel }
+
+let node_cycles ctx n =
+  match node_sums ctx n with None -> None | Some s -> Some s.total

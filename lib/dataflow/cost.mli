@@ -44,20 +44,24 @@ val instr_cycles : ctx -> Clara_cir.Ir.instr -> float option
     compute on an accelerator, or a vcall the accelerator does not
     implement). *)
 
-val node_cycles : ctx -> Node.t -> float option
-(** Sum over the node's instructions, multiplied by its loop trip. *)
-
-(** {2 Component breakdown} — the same prices split into where the
-    cycles go, for latency attribution. *)
+(** {2 Pricing} — one pass yields a node's total and where its cycles
+    go. *)
 
 type breakdown = {
+  b_total : float;
+      (** The price.  Summed in its own accumulator (vcall base, then
+          state reads, then writes; instructions left to right; loop trip
+          last), so it can differ from the sum of the three components
+          by float rounding; consumers needing an exact decomposition
+          take compute as the residual [b_total - b_mem - b_accel]. *)
   b_compute : float;  (** Core op/vcall base cost. *)
   b_mem : float;      (** Memory-region access charges. *)
   b_accel : float;    (** Accelerator service time. *)
 }
 
 val node_breakdown : ctx -> Node.t -> breakdown option
-(** Mirrors {!node_cycles} ([None] in exactly the same cases).  The
-    fields sum to {!node_cycles} up to float rounding; consumers needing
-    an exact decomposition should recompute compute as the residual
-    [node_cycles - b_mem - b_accel]. *)
+(** Sum over the node's instructions, multiplied by its loop trip; [None]
+    when the unit cannot execute some instruction of the node. *)
+
+val node_cycles : ctx -> Node.t -> float option
+(** [b_total] of {!node_breakdown}. *)

@@ -288,15 +288,7 @@ let node_r ?(with_trip = true) ctx (n : Node.t) =
 (* Wire (DMA + hub) price range over the packet-size envelope. *)
 let wire_r lnic ~(packet_bytes : r) ~dir =
   let params = lnic.L.Graph.params in
-  let hub kind =
-    match
-      List.find_opt
-        (fun (h : L.Hub.t) -> h.L.Hub.kind = kind)
-        (Array.to_list lnic.L.Graph.hubs)
-    with
-    | Some h -> float_of_int h.L.Hub.per_packet_cycles
-    | None -> 0.
-  in
+  let hub kind = float_of_int (L.Graph.hub_cycles lnic kind) in
   match dir with
   | `Rx ->
       radd (cost_fn_r params.P.wire_ingress packet_bytes) (rconst (hub `Ingress))

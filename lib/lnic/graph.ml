@@ -33,6 +33,11 @@ let accelerators t =
 let find_accelerator t kind =
   Array.to_list t.units |> List.find_opt (fun u -> Unit_.is_accelerator u kind)
 
+let hub_cycles t kind =
+  match Array.find_opt (fun h -> h.Hub.kind = kind) t.hubs with
+  | Some h -> h.Hub.per_packet_cycles
+  | None -> 0
+
 (* The fast-path-miss penalty of an off-path NIC: the fabric hub models
    the eSwitch -> core upcall queue, so its per-packet cost is what a
    missed packet pays before the software slow path runs.  On-path NICs
@@ -41,12 +46,7 @@ let find_accelerator t kind =
 let upcall_cycles t =
   match t.arch with
   | On_path | Host_only -> 0
-  | Off_path -> (
-      match
-        List.find_opt (fun h -> h.Hub.kind = `Fabric) (Array.to_list t.hubs)
-      with
-      | Some h -> h.Hub.per_packet_cycles
-      | None -> 0)
+  | Off_path -> hub_cycles t `Fabric
 
 let access_weight t ~unit_id ~mem_id =
   List.find_map

@@ -40,6 +40,10 @@ val general_cores : t -> Unit_.t list
 val accelerators : t -> Unit_.t list
 val find_accelerator : t -> Unit_.accel_kind -> Unit_.t option
 
+val hub_cycles : t -> [ `Ingress | `Egress | `Fabric | `Host_dma ] -> int
+(** Per-packet switching cost of the graph's first hub of that kind; 0
+    when the graph has none. *)
+
 val upcall_cycles : t -> int
 (** Per-packet cost of an eSwitch fast-path miss being upcalled to the
     core complex, read off the fabric hub; 0 on [On_path]/[Host_only]

@@ -3,7 +3,6 @@ module L = Clara_lnic
 module D = Clara_dataflow
 module Ir = Clara_cir.Ir
 module W = Clara_workload
-module M = Clara_mapping.Mapping
 module P = Clara_lnic.Params
 
 type config = {
@@ -22,8 +21,8 @@ let default_config =
 type t = {
   lnic : L.Graph.t;
   df : D.Graph.t;
-  mapping : M.t;
   config : config;
+  price : Price.t;
   (* Abstract state: which keys each table has seen (bounded). *)
   flow_seen : (string, Lru.t) Hashtbl.t;
   (* LPM/route tables are provisioned configuration, not learned state:
@@ -35,16 +34,9 @@ type t = {
   eswitch_cache : Lru.t option;
   upcall_cycles : float;
   mutable rng : W.Prng.t;
-  nodes_by_block : (int, D.Node.t list) Hashtbl.t;
 }
 
 let create ?(config = default_config) lnic df mapping =
-  let nodes_by_block = Hashtbl.create 32 in
-  Array.iter
-    (fun (n : D.Node.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt nodes_by_block n.D.Node.block) in
-      Hashtbl.replace nodes_by_block n.D.Node.block (cur @ [ n ]))
-    df.D.Graph.nodes;
   let flow_seen = Hashtbl.create 8 in
   let provisioned = Hashtbl.create 4 in
   List.iter
@@ -63,9 +55,9 @@ let create ?(config = default_config) lnic df mapping =
       if sram > 0 then Some (Lru.create ~capacity:(max 1 (sram / 32))) else None
     else None
   in
-  { lnic; df; mapping; config; flow_seen; provisioned; eswitch_cache;
-    upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic);
-    rng = W.Prng.create ~seed:config.seed; nodes_by_block }
+  { lnic; df; config; price = Price.create lnic df mapping; flow_seen; provisioned;
+    eswitch_cache; upcall_cycles = float_of_int (L.Graph.upcall_cycles lnic);
+    rng = W.Prng.create ~seed:config.seed }
 
 let reset_state t =
   Hashtbl.iter (fun _ l -> Lru.clear l) t.flow_seen;
@@ -74,89 +66,7 @@ let reset_state t =
 
 type per_packet = { cycles : float; emitted : bool }
 
-let sizes_of_packet (pkt : W.Packet.t) (states : Ir.state_obj list) =
-  {
-    D.Cost.payload_bytes = float_of_int pkt.W.Packet.payload_bytes;
-    packet_bytes = float_of_int (W.Packet.total_bytes pkt);
-    header_bytes = float_of_int (W.Packet.header_bytes pkt);
-    state_entries =
-      (fun s ->
-        match List.find_opt (fun o -> o.Ir.st_name = s) states with
-        | Some o -> float_of_int o.Ir.st_entries
-        | None -> 0.);
-    opaque_trip = 1.;
-  }
-
-let state_region_of_mapping t s =
-  match M.placement_of_state t.mapping s with
-  | Some (M.In_memory m) -> m
-  | Some (M.In_accel _) | None ->
-      (* Accel-hosted state is costed inside the accelerator vcall; if a
-         stray instruction still asks, charge external memory. *)
-      (match
-         Array.to_list t.lnic.L.Graph.memories
-         |> List.find_opt (fun m -> m.L.Memory.level = L.Memory.External)
-       with
-      | Some m -> m.L.Memory.id
-      | None -> 0)
-
-let node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
-  let unit_ = L.Graph.unit_ t.lnic t.mapping.M.node_unit.(n.D.Node.id) in
-  let sizes = sizes_of_packet pkt (D.Graph.states t.df) in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states t.df) with
-    | Some o -> Ir.state_bytes o
-    | None -> 0
-  in
-  let ctx =
-    {
-      D.Cost.lnic = t.lnic;
-      exec_unit = unit_;
-      state_region = state_region_of_mapping t;
-      state_footprint = footprint;
-      packet_region =
-        Clara_mapping.Encode.packet_region_for t.lnic unit_
-          ~packet_bytes:sizes.D.Cost.packet_bytes;
-      sizes;
-    }
-  in
-  match D.Cost.node_cycles ctx n with
-  | Some c -> c
-  | None ->
-      (* The mapping guaranteed executability; a None here is a bug. *)
-      failwith
-        (Printf.sprintf "Latency: node n%d unexecutable on its mapped unit" n.D.Node.id)
-
-(* What [n] would cost run in software on a general core — the price a
-   flow-cache miss pays after the upcall, regardless of where the mapping
-   placed the node.  Accel-hosted state is charged at external memory
-   here (see [state_region_of_mapping]): the slow path walks the full
-   table in DRAM, not the cached entries. *)
-let software_node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
-  match L.Graph.general_cores t.lnic with
-  | [] -> 0.
-  | core :: _ ->
-      let sizes = sizes_of_packet pkt (D.Graph.states t.df) in
-      let footprint s =
-        match List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states t.df) with
-        | Some o -> Ir.state_bytes o
-        | None -> 0
-      in
-      let ctx =
-        {
-          D.Cost.lnic = t.lnic;
-          exec_unit = core;
-          state_region = state_region_of_mapping t;
-          state_footprint = footprint;
-          packet_region =
-            Clara_mapping.Encode.packet_region_for t.lnic core
-              ~packet_bytes:sizes.D.Cost.packet_bytes;
-          sizes;
-        }
-      in
-      Option.value ~default:0. (D.Cost.node_cycles ctx n)
-
-(* The two-regime off-path charge.  [node_cost] prices an
+(* The two-regime off-path charge.  [Price.node] prices an
    eSwitch-mapped vcall at its fast-path hit cost; this adds what the
    miss regime costs on top: the upcall over the fabric plus the
    software replay of the node on the Arm cores.  The hit/miss decision
@@ -165,13 +75,12 @@ let software_node_cost t (pkt : W.Packet.t) (n : D.Node.t) =
    every on-path target ([Graph.upcall_cycles] is 0 there), and only
    stateful vcalls blend — the flow cache caches flows, so stateless
    eSwitch work (parsing, header rewrites) is hit-priced pipeline
-   hardware.  Must be called exactly once per charged node so the LRU
-   state advances identically in every walk. *)
-let eswitch_node_extra t (pkt : W.Packet.t) (n : D.Node.t) =
+   hardware.  Called exactly once per charged node, so the LRU state
+   advances once per walk. *)
+let eswitch_node_extra t (pkt : W.Packet.t) sizes (n : D.Node.t) =
   if t.upcall_cycles = 0. then 0.
   else
-    let unit_ = L.Graph.unit_ t.lnic t.mapping.M.node_unit.(n.D.Node.id) in
-    match (unit_.L.Unit_.kind, n.D.Node.kind) with
+    match ((Price.unit_of t.price n).L.Unit_.kind, n.D.Node.kind) with
     | L.Unit_.Accelerator L.Unit_.Eswitch, D.Node.N_vcall v
       when v.Ir.state <> None ->
         let miss =
@@ -183,7 +92,7 @@ let eswitch_node_extra t (pkt : W.Packet.t) (n : D.Node.t) =
               | None -> 0.)
         in
         if miss = 0. then 0.
-        else miss *. (t.upcall_cycles +. software_node_cost t pkt n)
+        else miss *. (t.upcall_cycles +. Price.software_cycles t.price sizes n)
     | _ -> 0.
 
 (* Resolve a guard against the packet and tracked state.  Table-hit
@@ -206,73 +115,100 @@ let rec resolve_guard t (pkt : W.Packet.t) (g : Ir.guard) =
   | Ir.G_not g' -> not (resolve_guard t pkt g')
   | Ir.G_or (a, b) -> resolve_guard t pkt a || resolve_guard t pkt b
 
-let wire_cycles lnic (pkt : W.Packet.t) ~emitted =
-  let params = lnic.L.Graph.params in
-  let bytes = W.Packet.total_bytes pkt in
-  let hub kind =
-    match
-      List.find_opt (fun h -> h.L.Hub.kind = kind) (Array.to_list lnic.L.Graph.hubs)
-    with
-    | Some h -> float_of_int h.L.Hub.per_packet_cycles
-    | None -> 0.
-  in
-  let rx = L.Cost_fn.eval params.P.wire_ingress (float_of_int bytes) +. hub `Ingress in
-  let tx =
-    if emitted then L.Cost_fn.eval params.P.wire_egress (float_of_int bytes) +. hub `Egress
-    else 0.
-  in
-  rx +. tx
+let packet_bytes pkt = float_of_int (W.Packet.total_bytes pkt)
 
-let wire_costs t pkt ~emitted =
-  if t.config.include_wire then wire_cycles t.lnic pkt ~emitted else 0.
+let wire_cycles lnic pkt ~emitted =
+  Price.wire_cycles lnic ~packet_bytes:(packet_bytes pkt) ~emitted
+
+type pkt_components = {
+  pc_total : float;
+  pc_compute : float;
+  pc_mem : float;
+  pc_accel : float;
+  pc_wire : float;
+  pc_emitted : bool;
+}
 
 exception Walk_limit
 
-let packet_latency t (pkt : W.Packet.t) =
+(* The predictor's one walk of a packet through the mapped NF.  Guards
+   resolve against the packet and the tracked state; each charged node
+   is priced once, and [on_node] sees it with its charge.  The total
+   accumulates node charges in walk order and adds the wire last;
+   compute is the residual after memory and accelerator charges, so the
+   components sum to the total exactly (the off-path miss extra lands
+   in compute). *)
+let walk ?on_node t (pkt : W.Packet.t) =
   let cir = t.df.D.Graph.cir in
-  let cost = ref 0. in
+  let packet_bytes = packet_bytes pkt in
+  let sizes =
+    Price.with_entries t.price
+      { Price.default_sizes with
+        D.Cost.packet_bytes;
+        payload_bytes = float_of_int pkt.W.Packet.payload_bytes;
+        header_bytes = float_of_int (W.Packet.header_bytes pkt) }
+  in
+  let cost = ref 0. and mem = ref 0. and accel = ref 0. in
   let emitted = ref false in
   let steps = ref 0 in
-  let charge_block bid =
-    List.iter
-      (fun (n : D.Node.t) ->
-        cost := !cost +. node_cost t pkt n +. eswitch_node_extra t pkt n;
+  let charge (n : D.Node.t) =
+    match Price.node t.price sizes n with
+    | None ->
+        (* The mapping guaranteed executability; a None here is a bug. *)
+        failwith
+          (Printf.sprintf "Latency: node n%d unexecutable on its mapped unit" n.D.Node.id)
+    | Some b -> (
+        let extra = eswitch_node_extra t pkt sizes n in
+        cost := !cost +. b.D.Cost.b_total +. extra;
+        mem := !mem +. b.D.Cost.b_mem;
+        accel := !accel +. b.D.Cost.b_accel;
+        Option.iter (fun f -> f n (b.D.Cost.b_total +. extra)) on_node;
         match n.D.Node.kind with
         | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-        | D.Node.N_vcall v when v.Ir.vc = P.V_table_update -> (
+        | D.Node.N_vcall { Ir.vc = P.V_table_update; state = Some s; _ } -> (
             (* Executed insertion: the flow is now table-resident. *)
-            match v.Ir.state with
-            | Some s -> (
-                match Hashtbl.find_opt t.flow_seen s with
-                | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-                | None -> ())
+            match Hashtbl.find_opt t.flow_seen s with
+            | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
             | None -> ())
         | _ -> ())
-      (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid))
   in
   (* Walk the structured CFG.  [stop] is the loop header whose back edge
      ends the current iteration walk (None at top level). *)
-  let rec walk bid ~stop =
+  let rec go bid ~stop =
     incr steps;
     if !steps > 10_000 then raise Walk_limit;
-    charge_block bid;
+    List.iter charge (Price.block_nodes t.price bid);
     match (Ir.block cir bid).Ir.term with
     | Ir.Ret -> ()
-    | Ir.Jump d ->
-        if Some d = stop then () (* end of one loop iteration *)
-        else walk d ~stop
+    | Ir.Jump d -> if Some d = stop then () (* end of one loop iteration *) else go d ~stop
     | Ir.Cond { guard; then_; else_ } ->
-        if resolve_guard t pkt guard then walk then_ ~stop
-        else walk else_ ~stop
+        if resolve_guard t pkt guard then go then_ ~stop else go else_ ~stop
     | Ir.Loop { body; exit; trip = _ } ->
         (* Body nodes carry the trip multiplier; walk the body once for
            guard resolution, then continue at the exit. *)
-        walk body ~stop:(Some bid);
-        walk exit ~stop
+        go body ~stop:(Some bid);
+        go exit ~stop
   in
-  walk cir.Ir.entry ~stop:None;
-  let total = !cost +. wire_costs t pkt ~emitted:!emitted in
-  { cycles = total; emitted = !emitted }
+  go cir.Ir.entry ~stop:None;
+  let wire =
+    if t.config.include_wire then
+      Price.wire_cycles t.lnic ~packet_bytes ~emitted:!emitted
+    else 0.
+  in
+  {
+    pc_total = !cost +. wire;
+    pc_compute = !cost -. !mem -. !accel;
+    pc_mem = !mem;
+    pc_accel = !accel;
+    pc_wire = wire;
+    pc_emitted = !emitted;
+  }
+
+let packet_components t pkt = walk t pkt
+
+let packet_latency t pkt =
+  let c = walk t pkt in
+  { cycles = c.pc_total; emitted = c.pc_emitted }
 
 type prediction = {
   mean_cycles : float;
@@ -284,8 +220,7 @@ type prediction = {
   emitted_fraction : float;
 }
 
-let predict_trace t (trace : W.Trace.t) =
-  reset_state t;
+let summarize (trace : W.Trace.t) f =
   let n = Array.length trace.W.Trace.packets in
   if n = 0 then
     { mean_cycles = 0.; p50_cycles = 0.; p99_cycles = 0.; tcp_mean = Float.nan;
@@ -298,7 +233,7 @@ let predict_trace t (trace : W.Trace.t) =
     let emits = ref 0 in
     Array.iteri
       (fun i pkt ->
-        let r = packet_latency t pkt in
+        let r = f pkt in
         lats.(i) <- r.cycles;
         if r.emitted then incr emits;
         (match pkt.W.Packet.proto with
@@ -332,6 +267,10 @@ let predict_trace t (trace : W.Trace.t) =
     }
   end
 
+let predict_trace t trace =
+  reset_state t;
+  summarize trace (packet_latency t)
+
 let pp_opt_mean fmt v =
   if Float.is_nan v then Format.pp_print_string fmt "n/a"
   else Format.fprintf fmt "%.0f" v
@@ -345,97 +284,6 @@ let pp_prediction fmt p =
 
 (* ------------------------------------------------------------------ *)
 (* Latency attribution (where does the predicted latency go?)          *)
-
-type pkt_components = {
-  pc_total : float;    (** Equals {!packet_latency}'s cycles exactly. *)
-  pc_compute : float;
-  pc_mem : float;
-  pc_accel : float;
-  pc_wire : float;
-  pc_emitted : bool;
-}
-
-(* Same walk as [packet_latency] — the total is accumulated in the same
-   order with the same per-node values, and guards consume the RNG
-   identically, so [pc_total] is bit-identical to what [packet_latency]
-   would have returned for this packet at this state.  Compute is the
-   residual of the node total after memory and accelerator charges, so
-   the four components sum to [pc_total] exactly. *)
-let packet_components t (pkt : W.Packet.t) =
-  let cir = t.df.D.Graph.cir in
-  let cost = ref 0. in
-  let mem = ref 0. and accel = ref 0. in
-  let emitted = ref false in
-  let steps = ref 0 in
-  let node_split (n : D.Node.t) =
-    let unit_ = L.Graph.unit_ t.lnic t.mapping.M.node_unit.(n.D.Node.id) in
-    let sizes = sizes_of_packet pkt (D.Graph.states t.df) in
-    let footprint s =
-      match List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states t.df) with
-      | Some o -> Ir.state_bytes o
-      | None -> 0
-    in
-    let ctx =
-      {
-        D.Cost.lnic = t.lnic;
-        exec_unit = unit_;
-        state_region = state_region_of_mapping t;
-        state_footprint = footprint;
-        packet_region =
-          Clara_mapping.Encode.packet_region_for t.lnic unit_
-            ~packet_bytes:sizes.D.Cost.packet_bytes;
-        sizes;
-      }
-    in
-    match D.Cost.node_breakdown ctx n with
-    | Some b -> b
-    | None -> D.Cost.{ b_compute = 0.; b_mem = 0.; b_accel = 0. }
-  in
-  let charge_block bid =
-    List.iter
-      (fun (n : D.Node.t) ->
-        (* The miss-regime extra is charged as compute: it lands in the
-           residual, keeping the component sums exact. *)
-        cost := !cost +. node_cost t pkt n +. eswitch_node_extra t pkt n;
-        let b = node_split n in
-        mem := !mem +. b.D.Cost.b_mem;
-        accel := !accel +. b.D.Cost.b_accel;
-        (match n.D.Node.kind with
-        | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-        | D.Node.N_vcall v when v.Ir.vc = P.V_table_update -> (
-            match v.Ir.state with
-            | Some s -> (
-                match Hashtbl.find_opt t.flow_seen s with
-                | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-                | None -> ())
-            | None -> ())
-        | _ -> ()))
-      (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid))
-  in
-  let rec walk bid ~stop =
-    incr steps;
-    if !steps > 10_000 then raise Walk_limit;
-    charge_block bid;
-    match (Ir.block cir bid).Ir.term with
-    | Ir.Ret -> ()
-    | Ir.Jump d -> if Some d = stop then () else walk d ~stop
-    | Ir.Cond { guard; then_; else_ } ->
-        if resolve_guard t pkt guard then walk then_ ~stop else walk else_ ~stop
-    | Ir.Loop { body; exit; trip = _ } ->
-        walk body ~stop:(Some bid);
-        walk exit ~stop
-  in
-  walk cir.Ir.entry ~stop:None;
-  let wire = wire_costs t pkt ~emitted:!emitted in
-  let total = !cost +. wire in
-  {
-    pc_total = total;
-    pc_compute = !cost -. !mem -. !accel;
-    pc_mem = !mem;
-    pc_accel = !accel;
-    pc_wire = wire;
-    pc_emitted = !emitted;
-  }
 
 type att_row = {
   at_type : string;   (** "tcp-syn", "tcp", "udp", "other" or "all". *)
@@ -461,7 +309,7 @@ let attribute_trace t (trace : W.Trace.t) =
   let n = Array.length trace.W.Trace.packets in
   if n = 0 then { att_rows = []; att_mean = 0. }
   else begin
-    let lats = Array.make n 0. in
+    let total = ref 0. in
     let sums : (string, int ref * float ref * float ref * float ref * float ref) Hashtbl.t =
       Hashtbl.create 8
     in
@@ -480,10 +328,10 @@ let attribute_trace t (trace : W.Trace.t) =
       ac := !ac +. c.pc_accel;
       wi := !wi +. c.pc_wire
     in
-    Array.iteri
-      (fun i pkt ->
-        let c = packet_components t pkt in
-        lats.(i) <- c.pc_total;
+    Array.iter
+      (fun pkt ->
+        let c = walk t pkt in
+        total := !total +. c.pc_total;
         add (type_label pkt) c;
         add "all" c)
       trace.W.Trace.packets;
@@ -518,7 +366,7 @@ let attribute_trace t (trace : W.Trace.t) =
              | false, true -> -1
              | _ -> compare a.at_type b.at_type)
     in
-    { att_rows = rows; att_mean = Array.fold_left ( +. ) 0. lats /. float_of_int n }
+    { att_rows = rows; att_mean = !total /. float_of_int n }
   end
 
 let pp_attribution fmt a =
@@ -570,57 +418,14 @@ let perfetto_timeline t (trace : W.Trace.t) =
         :: !out;
     clock := !clock +. dur
   in
-  let cir = t.df.D.Graph.cir in
   Array.iteri
     (fun seq pkt ->
-      (* Pre-resolve the emitted flag on a copy of the walk?  No — walk
-         once, emitting node spans as we charge them; the wire-rx span
-         goes first with the packet's ingress share, wire-tx last. *)
-      let params = t.lnic.L.Graph.params in
-      let bytes = float_of_int (W.Packet.total_bytes pkt) in
-      let hub kind =
-        match
-          List.find_opt (fun h -> h.L.Hub.kind = kind) (Array.to_list t.lnic.L.Graph.hubs)
-        with
-        | Some h -> float_of_int h.L.Hub.per_packet_cycles
-        | None -> 0.
-      in
-      if t.config.include_wire then
-        span "wire-rx" (L.Cost_fn.eval params.P.wire_ingress bytes +. hub `Ingress) ~seq;
-      let emitted = ref false in
-      let steps = ref 0 in
-      let charge_block bid =
-        List.iter
-          (fun (n : D.Node.t) ->
-            span (node_name n) (node_cost t pkt n +. eswitch_node_extra t pkt n) ~seq;
-            match n.D.Node.kind with
-            | D.Node.N_vcall v when v.Ir.vc = P.V_emit -> emitted := true
-            | D.Node.N_vcall v when v.Ir.vc = P.V_table_update -> (
-                match v.Ir.state with
-                | Some s -> (
-                    match Hashtbl.find_opt t.flow_seen s with
-                    | Some seen -> ignore (Lru.touch seen (W.Packet.flow_key pkt))
-                    | None -> ())
-                | None -> ())
-            | _ -> ())
-          (Option.value ~default:[] (Hashtbl.find_opt t.nodes_by_block bid))
-      in
-      let rec walk bid ~stop =
-        incr steps;
-        if !steps > 10_000 then raise Walk_limit;
-        charge_block bid;
-        match (Ir.block cir bid).Ir.term with
-        | Ir.Ret -> ()
-        | Ir.Jump d -> if Some d = stop then () else walk d ~stop
-        | Ir.Cond { guard; then_; else_ } ->
-            if resolve_guard t pkt guard then walk then_ ~stop else walk else_ ~stop
-        | Ir.Loop { body; exit; trip = _ } ->
-            walk body ~stop:(Some bid);
-            walk exit ~stop
-      in
-      walk cir.Ir.entry ~stop:None;
-      if t.config.include_wire && !emitted then
-        span "wire-tx" (L.Cost_fn.eval params.P.wire_egress bytes +. hub `Egress) ~seq)
+      (* The wire-rx span goes first, then one span per charged node as
+         the walk prices it, then wire-tx if the packet left. *)
+      let rx, tx = Price.wire t.lnic ~packet_bytes:(packet_bytes pkt) in
+      if t.config.include_wire then span "wire-rx" rx ~seq;
+      let c = walk t pkt ~on_node:(fun n cycles -> span (node_name n) cycles ~seq) in
+      if t.config.include_wire && c.pc_emitted then span "wire-tx" tx ~seq)
     trace.W.Trace.packets;
   J.Obj
     [

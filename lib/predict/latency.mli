@@ -5,8 +5,14 @@
     (protocol, flags) and against tracked abstract state (a flow-table
     membership set, so the first packet of a flow really takes the miss
     path); node costs are priced by {!Clara_dataflow.Cost} with the
-    packet's own sizes; wire/hub constants bracket the path.  Averaging
-    over a trace yields the Figure 3 "Predicted" series. *)
+    packet's own sizes, through a {!Price} context compiled once in
+    {!create}; wire/hub constants bracket the path.  Averaging over a
+    trace yields the Figure 3 "Predicted" series.
+
+    There is one walk per packet.  {!packet_latency},
+    {!packet_components} and {!perfetto_timeline} are views of it, and
+    {!predict_trace} and {!attribute_trace} are folds of it over a
+    trace. *)
 
 type config = {
   scan_match_fraction : float;  (** DPI match probability. *)
@@ -55,7 +61,14 @@ type prediction = {
 }
 
 val predict_trace : t -> Clara_workload.Trace.t -> prediction
-(** Resets state, then walks every packet. *)
+(** Resets state, then walks every packet and {!summarize}s. *)
+
+val summarize :
+  Clara_workload.Trace.t -> (Clara_workload.Packet.t -> per_packet) -> prediction
+(** Runs [f] over the trace's packets in order and aggregates: mean,
+    nearest-rank p50/p99, per-protocol and SYN means ([nan] when no
+    packet of the kind), emitted fraction.  An empty trace gives zero
+    latencies. *)
 
 val pp_prediction : Format.formatter -> prediction -> unit
 
@@ -70,11 +83,11 @@ val wire_cycles :
 
 type pkt_components = {
   pc_total : float;
-      (** Bit-identical to {!packet_latency}'s [cycles] at the same
-          state: the walk, guard RNG draws and summation order match. *)
+      (** {!packet_latency}'s [cycles]: both are views of the one walk. *)
   pc_compute : float;
-      (** Residual [total - mem - accel - wire], so the components sum
-          to [pc_total] exactly. *)
+      (** Residual of the node charges after [pc_mem] and [pc_accel]
+          (the off-path miss extra lands here), so the components sum to
+          [pc_total] up to float rounding. *)
   pc_mem : float;
   pc_accel : float;
   pc_wire : float;
@@ -103,12 +116,14 @@ type attribution = {
 }
 
 val attribute_trace : t -> Clara_workload.Trace.t -> attribution
-(** Resets state and re-walks the trace with the same RNG seed, so the
-    totals match {!predict_trace} exactly. *)
+(** Resets state and folds the predictor's walk over the trace, so with
+    the same RNG seed the totals match {!predict_trace} exactly. *)
 
 val pp_attribution : Format.formatter -> attribution -> unit
 
 val perfetto_timeline : t -> Clara_workload.Trace.t -> Clara_util.Json.t
 (** The analytic per-packet timeline (packets end-to-end on one track,
     wire + per-node spans) as Chrome/Perfetto trace-event JSON — the
-    predictor-side counterpart of [clara trace]'s export. *)
+    predictor-side counterpart of [clara trace]'s export.  Resets state;
+    the node spans are the walk's own charges, so each packet's spans
+    sum to its [pc_total]. *)

@@ -1,7 +1,8 @@
 (* Tests for the per-packet tracing layer: ring-buffer sink semantics,
    the tiling invariant attribution relies on, tracing's zero effect on
    simulation results, run_pair event tagging, Perfetto export, and the
-   predictor-side attribution. *)
+   predictor-side views (attribution, components, timeline) of its one
+   walk over every corpus NF and target. *)
 
 module Trace = Clara_nicsim.Trace
 module Attr = Clara_nicsim.Attribution
@@ -244,65 +245,116 @@ let test_perfetto_export () =
 (* ------------------------------------------------------------------ *)
 (* Predictor-side attribution                                          *)
 
-let predictor () =
+(* Every corpus NF on every offload family, plus the off-path target with
+   the flow-cache hit ratio pinned (the analytic two-regime blend). *)
+let predictors () =
   let prof =
     W.Profile.make ~payload:(W.Dist.Fixed 300) ~packets:1_000 ~flow_count:100
       ~rate_pps:60_000. ~tcp_fraction:0.8 ()
   in
-  match
-    Clara.analyze_for_profile lnic ~source:(Clara_nfs.Nat.source ()) ~profile:prof
-  with
-  | Error e -> Alcotest.fail e
-  | Ok a -> (Lat.create lnic a.Clara.df a.Clara.mapping, W.Trace.synthesize ~seed:3L prof)
+  let tr = W.Trace.synthesize ~seed:3L prof in
+  let blend = { Lat.default_config with Lat.flow_cache_hit_ratio = Some 0.5 } in
+  let cells =
+    List.map (fun nic -> (nic, "", Lat.default_config)) [ "netronome"; "soc"; "bluefield" ]
+    @ [ ("bluefield", " hit=0.5", blend) ]
+  in
+  List.concat_map
+    (fun (e : Clara_nfs.Corpus.entry) ->
+      List.map
+        (fun (nic, label, config) ->
+          let lnic = Option.get (L.Targets.find nic) in
+          let name = Printf.sprintf "%s@%s%s" e.Clara_nfs.Corpus.name nic label in
+          match
+            Clara.analyze_for_profile lnic ~source:e.Clara_nfs.Corpus.source ~profile:prof
+          with
+          | Error err -> Alcotest.fail (name ^ ": " ^ err)
+          | Ok a -> (name, Lat.create ~config lnic a.Clara.df a.Clara.mapping, tr))
+        cells)
+    Clara_nfs.Corpus.all
 
 let test_predict_attribution () =
-  let t, tr = predictor () in
-  let p = Lat.predict_trace t tr in
-  let att = Lat.attribute_trace t tr in
-  check "attribution mean = prediction mean" true
-    (att.Lat.att_mean = p.Lat.mean_cycles);
-  check "has per-type rows and all row" true
-    (List.exists (fun r -> r.Lat.at_type = "all") att.Lat.att_rows
-    && List.length att.Lat.att_rows >= 2);
   List.iter
-    (fun r ->
-      let sum = r.Lat.at_compute +. r.Lat.at_mem +. r.Lat.at_accel +. r.Lat.at_wire in
-      check (r.Lat.at_type ^ " components sum") true
-        (Float.abs (sum -. r.Lat.at_total) < 1e-6))
-    att.Lat.att_rows;
-  let all = List.find (fun r -> r.Lat.at_type = "all") att.Lat.att_rows in
-  check "all-row total = mean" true
-    (Float.abs (all.Lat.at_total -. att.Lat.att_mean) < 1e-6)
+    (fun (name, t, tr) ->
+      let p = Lat.predict_trace t tr in
+      let att = Lat.attribute_trace t tr in
+      check (name ^ ": attribution mean = prediction mean") true
+        (Int64.bits_of_float att.Lat.att_mean = Int64.bits_of_float p.Lat.mean_cycles);
+      check (name ^ ": has per-type rows and all row") true
+        (List.exists (fun r -> r.Lat.at_type = "all") att.Lat.att_rows
+        && List.length att.Lat.att_rows >= 2);
+      List.iter
+        (fun r ->
+          let sum = r.Lat.at_compute +. r.Lat.at_mem +. r.Lat.at_accel +. r.Lat.at_wire in
+          check (name ^ ": " ^ r.Lat.at_type ^ " components sum") true
+            (Float.abs (sum -. r.Lat.at_total) < 1e-6))
+        att.Lat.att_rows;
+      let all = List.find (fun r -> r.Lat.at_type = "all") att.Lat.att_rows in
+      check (name ^ ": all-row total = mean") true
+        (Float.abs (all.Lat.at_total -. att.Lat.att_mean) < 1e-6))
+    (predictors ())
+
+let packets tr = Array.of_list (List.rev (W.Trace.fold (fun acc p -> p :: acc) [] tr))
 
 let test_predict_packet_components () =
-  let t, tr = predictor () in
-  let pkts =
-    Array.of_list (List.rev (W.Trace.fold (fun acc p -> p :: acc) [] tr))
-  in
-  Lat.reset_state t;
-  let comps = Array.map (Lat.packet_components t) pkts in
-  Lat.reset_state t;
-  let lats = Array.map (Lat.packet_latency t) pkts in
-  Array.iteri
-    (fun i c ->
-      check "pc_total bit-identical to packet_latency" true
-        (c.Lat.pc_total = lats.(i).Lat.cycles);
-      check "components sum exactly" true
-        (Float.abs
-           (c.Lat.pc_compute +. c.Lat.pc_mem +. c.Lat.pc_accel +. c.Lat.pc_wire
-          -. c.Lat.pc_total)
-        < 1e-9))
-    comps
+  List.iter
+    (fun (name, t, tr) ->
+      let pkts = packets tr in
+      Lat.reset_state t;
+      let comps = Array.map (Lat.packet_components t) pkts in
+      Lat.reset_state t;
+      let lats = Array.map (Lat.packet_latency t) pkts in
+      Array.iteri
+        (fun i c ->
+          check (name ^ ": pc_total bit-identical to packet_latency") true
+            (Int64.bits_of_float c.Lat.pc_total
+            = Int64.bits_of_float lats.(i).Lat.cycles);
+          check (name ^ ": components sum exactly") true
+            (Float.abs
+               (c.Lat.pc_compute +. c.Lat.pc_mem +. c.Lat.pc_accel +. c.Lat.pc_wire
+              -. c.Lat.pc_total)
+            < 1e-9))
+        comps)
+    (predictors ())
+
+let num = function
+  | J.Float f -> f
+  | J.Int i -> float_of_int i
+  | _ -> Alcotest.fail "expected a number"
 
 let test_predict_timeline_json () =
-  let t, tr = predictor () in
-  let j = Lat.perfetto_timeline t tr in
-  let j' = J.parse_exn (J.to_string j) in
-  match (field "traceEvents" j, field "traceEvents" j') with
-  | J.List evs, J.List evs' ->
-      check "timeline has events" true (List.length evs > 0);
-      check "timeline round-trips" true (List.length evs = List.length evs')
-  | _ -> Alcotest.fail "traceEvents shape"
+  List.iter
+    (fun (name, t, tr) ->
+      let j = Lat.perfetto_timeline t tr in
+      let j' = J.parse_exn (J.to_string j) in
+      let evs =
+        match (field "traceEvents" j, field "traceEvents" j') with
+        | J.List evs, J.List evs' ->
+            check (name ^ ": timeline has events") true (List.length evs > 0);
+            check (name ^ ": timeline round-trips") true
+              (List.length evs = List.length evs');
+            evs
+        | _ -> Alcotest.fail "traceEvents shape"
+      in
+      (* Each packet's spans tile its predicted latency. *)
+      let freq = num (field "freq_mhz" (field "otherData" j)) in
+      let pkts = packets tr in
+      let spans = Array.make (Array.length pkts) 0. in
+      List.iter
+        (fun e ->
+          if field "ph" e = J.String "X" then
+            let seq = int_of_float (num (field "seq" (field "args" e))) in
+            spans.(seq) <- spans.(seq) +. num (field "dur" e))
+        evs;
+      Lat.reset_state t;
+      Array.iteri
+        (fun i pkt ->
+          let total = (Lat.packet_components t pkt).Lat.pc_total /. freq in
+          check
+            (Printf.sprintf "%s: packet %d spans sum to pc_total" name i)
+            true
+            (Float.abs (spans.(i) -. total) <= 1e-9 *. total))
+        pkts)
+    (predictors ())
 
 let suite =
   [ Alcotest.test_case "ring buffer semantics" `Quick test_ring_semantics;
