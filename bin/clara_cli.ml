@@ -195,7 +195,6 @@ let predict_cmd =
       { Clara_predict.Latency.default_config with
         Clara_predict.Latency.flow_cache_hit_ratio = hit_ratio }
     in
-    (* One predictor serves every pass; each pass resets its state. *)
     let obs = Clara_obs.Registry.default in
     let sub name f = Clara_obs.Registry.span obs name f in
     sub "predict" (fun () ->
@@ -203,7 +202,13 @@ let predict_cmd =
           Clara_predict.Latency.create ~config lnic analysis.Clara.df
             analysis.Clara.mapping
         in
-        let p = sub "walk" (fun () -> Clara_predict.Latency.predict_trace predictor trace) in
+        (* One pass yields the prediction, the attribution and the
+           timeline. *)
+        let r =
+          sub "walk" (fun () ->
+              Clara_predict.Latency.run ~timeline:(trace_out <> None) predictor trace)
+        in
+        let p = r.Clara_predict.Latency.prediction in
         Format.printf "%a@." Clara_predict.Latency.pp_prediction p;
         let freq =
           match L.Graph.general_cores lnic with u :: _ -> u.L.Unit_.freq_mhz | [] -> 1
@@ -212,11 +217,8 @@ let predict_cmd =
           (p.Clara_predict.Latency.mean_cycles /. float_of_int freq)
           freq;
         (* Where the predicted cycles go, per packet type. *)
-        let att =
-          sub "attribute" (fun () -> Clara_predict.Latency.attribute_trace predictor trace)
-        in
         Format.printf "attribution (mean cycles per packet):@.%a"
-          Clara_predict.Latency.pp_attribution att;
+          Clara_predict.Latency.pp_attribution r.Clara_predict.Latency.attribution;
         (match
            sub "queueing" (fun () ->
                Clara_predict.Throughput.latency_at_rate
@@ -231,8 +233,7 @@ let predict_cmd =
         Option.iter
           (fun file ->
             sub "timeline" (fun () ->
-                write_json_file file
-                  (Clara_predict.Latency.perfetto_timeline predictor trace));
+                write_json_file file (Option.get r.Clara_predict.Latency.timeline));
             Format.eprintf "clara: wrote predicted timeline to %s@." file)
           trace_out);
     emit_stats ~stats ~stats_json

@@ -20,14 +20,15 @@ let rec eval_size sizes = function
   | Ir.S_plus (e, k) -> Float.max 0. (eval_size sizes e +. float_of_int k)
   | Ir.S_opaque -> sizes.opaque_trip
 
-type ctx = {
+type placement = {
   lnic : L.Graph.t;
   exec_unit : L.Unit_.t;
   state_region : string -> int;
   state_footprint : string -> int;
   packet_region : int;
-  sizes : sizes;
 }
+
+type ctx = { place : placement; sizes : sizes }
 
 (* Caches are shared (packet spill, other flows), so even a footprint that
    fits is not always resident: the effective latency mixes hit and miss
@@ -39,132 +40,145 @@ type ctx = {
    residual is visible as Figure 3a's ~10% overprediction. *)
 let cache_locality = ref 0.85
 
-let mem_access_cycles ctx ~mode ~mem_id ~footprint =
-  match L.Graph.access_weight ctx.lnic ~unit_id:ctx.exec_unit.L.Unit_.id ~mem_id with
+(* A region as one unit sees it in one access mode: everything of its
+   price but the footprint.  [cache] is (hit cycles, cache bytes), only
+   for cached reads and writes; [locality] is [!cache_locality] when the
+   region was resolved. *)
+type region = {
+  flat : float;
+  weight : float;
+  cache : (float * float) option;
+  locality : float;
+}
+
+let resolve_region p ~mode ~mem_id =
+  match L.Graph.access_weight p.lnic ~unit_id:p.exec_unit.L.Unit_.id ~mem_id with
   | None -> None
   | Some weight ->
-      let m = L.Graph.memory ctx.lnic mem_id in
+      let m = L.Graph.memory p.lnic mem_id in
       let flat =
         match mode with
         | `Read -> m.L.Memory.read_cycles
         | `Write -> m.L.Memory.write_cycles
         | `Atomic -> m.L.Memory.atomic_cycles
       in
-      let base =
+      let cache =
         match (m.L.Memory.cache, mode) with
         | Some c, (`Read | `Write) ->
-            let fit =
-              if footprint <= 0 then 1.
-              else
-                Float.min 1.
-                  (float_of_int c.L.Memory.cache_bytes /. float_of_int footprint)
-            in
-            let h = !cache_locality *. fit in
-            (h *. float_of_int c.L.Memory.hit_cycles)
-            +. ((1. -. h) *. float_of_int flat)
-        | _ -> float_of_int flat
+            Some (float_of_int c.L.Memory.hit_cycles, float_of_int c.L.Memory.cache_bytes)
+        | _ -> None
       in
-      Some (base +. float_of_int weight)
+      Some
+        { flat = float_of_int flat; weight = float_of_int weight; cache;
+          locality = !cache_locality }
+
+(* The one region-cost body. *)
+let region_cycles r ~footprint =
+  let base =
+    match r.cache with
+    | Some (hit, bytes) ->
+        let fit =
+          if footprint <= 0 then 1. else Float.min 1. (bytes /. float_of_int footprint)
+        in
+        let h = r.locality *. fit in
+        (h *. hit) +. ((1. -. h) *. r.flat)
+    | None -> r.flat
+  in
+  base +. r.weight
+
+let mem_access_cycles p ~mode ~mem_id ~footprint =
+  Option.map (region_cycles ~footprint) (resolve_region p ~mode ~mem_id)
 
 (* Fastest reachable region of level Local (for register/stack traffic);
    falls back to the fastest reachable region of any level. *)
-let local_region ctx =
-  let reach = L.Graph.reachable_memories ctx.lnic ~unit_id:ctx.exec_unit.L.Unit_.id in
+let local_region p =
+  let reach = L.Graph.reachable_memories p.lnic ~unit_id:p.exec_unit.L.Unit_.id in
   match
     List.find_opt (fun (m, _) -> m.L.Memory.level = L.Memory.Local) reach
   with
   | Some (m, _) -> Some m.L.Memory.id
   | None -> ( match reach with (m, _) :: _ -> Some m.L.Memory.id | [] -> None)
 
-let loc_access ctx ~mode (loc : Ir.loc) =
-  match loc with
-  | Ir.L_local -> (
-      match local_region ctx with
-      | None -> None
-      | Some mem_id -> mem_access_cycles ctx ~mode ~mem_id ~footprint:0)
-  | Ir.L_packet ->
-      mem_access_cycles ctx ~mode ~mem_id:ctx.packet_region
-        ~footprint:(int_of_float ctx.sizes.packet_bytes)
-  | Ir.L_state s ->
-      mem_access_cycles ctx ~mode ~mem_id:(ctx.state_region s)
-        ~footprint:(ctx.state_footprint s)
+(* {2 Stage one: compile}
 
-(* One pricing pass yields a node's total and where its cycles go.  Each
-   instruction's price is formed whole and then added to the running
-   total (vcall base, then state reads, then state writes; instructions
-   left to right; loop trip last), so the total does not depend on the
-   split, and it can differ from the float sum of the components by
-   rounding. *)
+   A step is one instruction's price with every size-independent part
+   resolved.  [apply] adds each step to the running sums exactly as the
+   price is formed here, so staging changes no float. *)
 
-type breakdown = { b_total : float; b_compute : float; b_mem : float; b_accel : float }
+type step =
+  | Compute of float  (* a core op *)
+  | Access of { total : float; compute : float; mem : float }
+      (* a local, state or uncached packet access: (m +. c, c, m) *)
+  | Packet_access of { op : float; region : region }
+      (* a cached packet access: m depends on the packet's bytes *)
+  | Core_vcall of { fn : L.Cost_fn.t; size : Ir.size_expr }
+  | State_vcall of {
+      fn : L.Cost_fn.t;
+      size : Ir.size_expr;
+      reads : Ir.size_expr;
+      writes : Ir.size_expr;
+      read_cycles : float;
+      write_cycles : float;
+    }
+  | Accel_vcall of { fn : L.Cost_fn.t; size : Ir.size_expr }
 
-type sums = {
-  mutable total : float;
-  mutable compute : float;
-  mutable mem : float;
-  mutable accel : float;
-}
+type compiled = { steps : step array; trip : Ir.size_expr option }
 
-let add_compute s c =
-  s.total <- s.total +. c;
-  s.compute <- s.compute +. c
-
-(* Adds the vcall's price to [s]; [false] when the unit cannot run it. *)
-let add_vcall ctx s (v : Ir.vcall_info) =
-  let params = ctx.lnic.L.Graph.params in
-  let n = eval_size ctx.sizes v.Ir.size in
-  match ctx.exec_unit.L.Unit_.kind with
-  | L.Unit_.Accelerator kind -> (
-      match P.accel_vcall_cost params kind v.Ir.vc with
-      | None -> false
-      | Some f ->
-          (* Accelerators keep their operands in dedicated SRAM (e.g. the
-             flow cache); no extra per-access memory charge. *)
-          let c = L.Cost_fn.eval f n in
-          s.total <- s.total +. c;
-          s.accel <- s.accel +. c;
-          true)
+let compile_vcall p (v : Ir.vcall_info) =
+  let params = p.lnic.L.Graph.params in
+  match p.exec_unit.L.Unit_.kind with
+  | L.Unit_.Accelerator kind ->
+      (* Accelerators keep their operands in dedicated SRAM (e.g. the
+         flow cache); no extra per-access memory charge. *)
+      Option.map
+        (fun fn -> Accel_vcall { fn; size = v.Ir.size })
+        (P.accel_vcall_cost params kind v.Ir.vc)
   | L.Unit_.General_core _ -> (
-      match P.core_vcall_cost params v.Ir.vc with
-      | None -> false
-      | Some f -> (
-          let base = L.Cost_fn.eval f n in
-          match v.Ir.state with
-          | None ->
-              add_compute s base;
-              true
-          | Some st -> (
-              let reads = eval_size ctx.sizes v.Ir.state_reads in
-              let writes = eval_size ctx.sizes v.Ir.state_writes in
-              let r = loc_access ctx ~mode:`Read (Ir.L_state st) in
-              let w = loc_access ctx ~mode:`Write (Ir.L_state st) in
-              match (r, w) with
-              | Some rc, Some wc ->
-                  let rm = reads *. rc and wm = writes *. wc in
-                  s.total <- s.total +. (base +. rm +. wm);
-                  s.compute <- s.compute +. base;
-                  s.mem <- s.mem +. (rm +. wm);
-                  true
-              | _ -> false)))
+      match (P.core_vcall_cost params v.Ir.vc, v.Ir.state) with
+      | None, _ -> None
+      | Some fn, None -> Some (Core_vcall { fn; size = v.Ir.size })
+      | Some fn, Some st -> (
+          let state mode =
+            mem_access_cycles p ~mode ~mem_id:(p.state_region st)
+              ~footprint:(p.state_footprint st)
+          in
+          match (state `Read, state `Write) with
+          | Some read_cycles, Some write_cycles ->
+              Some
+                (State_vcall
+                   { fn; size = v.Ir.size; reads = v.Ir.state_reads;
+                     writes = v.Ir.state_writes; read_cycles; write_cycles })
+          | _ -> None))
 
-let add_instr ctx s (i : Ir.instr) =
-  let params = ctx.lnic.L.Graph.params in
+(* [local] resolves the node's register region at most once. *)
+let compile_instr p ~local (i : Ir.instr) =
+  let params = p.lnic.L.Graph.params in
   let access op loc ~mode ~has_fpu =
-    match loc_access ctx ~mode loc with
-    | None -> false
-    | Some m ->
-        let c = P.op_cost params op ~has_fpu in
-        s.total <- s.total +. (m +. c);
-        s.compute <- s.compute +. c;
-        s.mem <- s.mem +. m;
-        true
+    let priced m =
+      let c = P.op_cost params op ~has_fpu in
+      Access { total = m +. c; compute = c; mem = m }
+    in
+    match loc with
+    | Ir.L_local ->
+        Option.bind (Lazy.force local) (fun mem_id ->
+            Option.map priced (mem_access_cycles p ~mode ~mem_id ~footprint:0))
+    | Ir.L_state s ->
+        Option.map priced
+          (mem_access_cycles p ~mode ~mem_id:(p.state_region s)
+             ~footprint:(p.state_footprint s))
+    | Ir.L_packet ->
+        Option.map
+          (fun region ->
+            match region.cache with
+            | None -> priced (region_cycles region ~footprint:0)
+            | Some _ -> Packet_access { op = P.op_cost params op ~has_fpu; region })
+          (resolve_region p ~mode ~mem_id:p.packet_region)
   in
-  match (i, ctx.exec_unit.L.Unit_.kind) with
-  | Ir.Vcall v, _ -> add_vcall ctx s v
-  | _, L.Unit_.Accelerator _ -> false
+  match (i, p.exec_unit.L.Unit_.kind) with
+  | Ir.Vcall v, _ -> compile_vcall p v
+  | _, L.Unit_.Accelerator _ -> None
   | Ir.Op cls, L.Unit_.General_core { has_fpu; _ } ->
-      add_compute s (P.op_cost params cls ~has_fpu);
-      true
+      Some (Compute (P.op_cost params cls ~has_fpu))
   | Ir.Load loc, L.Unit_.General_core { has_fpu; _ } ->
       access P.Load loc ~mode:`Read ~has_fpu
   | Ir.Store loc, L.Unit_.General_core { has_fpu; _ } ->
@@ -172,38 +186,76 @@ let add_instr ctx s (i : Ir.instr) =
   | Ir.Atomic_op loc, L.Unit_.General_core { has_fpu; _ } ->
       access P.Atomic loc ~mode:`Atomic ~has_fpu
 
-let fresh () = { total = 0.; compute = 0.; mem = 0.; accel = 0. }
+let compile p (n : Node.t) =
+  let local = lazy (local_region p) in
+  let rec steps acc = function
+    | [] -> Some (Array.of_list (List.rev acc))
+    | i :: is -> (
+        match compile_instr p ~local i with
+        | None -> None
+        | Some s -> steps (s :: acc) is)
+  in
+  let steps =
+    match n.Node.kind with
+    | Node.N_vcall v -> Option.map (fun s -> [| s |]) (compile_vcall p v)
+    | Node.N_compute is -> steps [] is
+  in
+  Option.map (fun steps -> { steps; trip = n.Node.loop_trip }) steps
+
+(* {2 Stage two: apply}
+
+   Each step's price is formed whole and then added to the running total
+   (vcall base, then state reads, then state writes; instructions left
+   to right; loop trip last), so the total does not depend on the split,
+   and it can differ from the float sum of the components by rounding. *)
+
+type breakdown = { b_total : float; b_compute : float; b_mem : float; b_accel : float }
+
+let apply c sizes =
+  let total = ref 0. and compute = ref 0. and mem = ref 0. and accel = ref 0. in
+  for i = 0 to Array.length c.steps - 1 do
+    match c.steps.(i) with
+    | Compute x ->
+        total := !total +. x;
+        compute := !compute +. x
+    | Access a ->
+        total := !total +. a.total;
+        compute := !compute +. a.compute;
+        mem := !mem +. a.mem
+    | Packet_access a ->
+        let m =
+          region_cycles a.region ~footprint:(int_of_float sizes.packet_bytes)
+        in
+        total := !total +. (m +. a.op);
+        compute := !compute +. a.op;
+        mem := !mem +. m
+    | Core_vcall v ->
+        let base = L.Cost_fn.eval v.fn (eval_size sizes v.size) in
+        total := !total +. base;
+        compute := !compute +. base
+    | State_vcall v ->
+        let base = L.Cost_fn.eval v.fn (eval_size sizes v.size) in
+        let rm = eval_size sizes v.reads *. v.read_cycles
+        and wm = eval_size sizes v.writes *. v.write_cycles in
+        total := !total +. (base +. rm +. wm);
+        compute := !compute +. base;
+        mem := !mem +. (rm +. wm)
+    | Accel_vcall v ->
+        let x = L.Cost_fn.eval v.fn (eval_size sizes v.size) in
+        total := !total +. x;
+        accel := !accel +. x
+  done;
+  let k =
+    match c.trip with None -> 1. | Some t -> Float.max 1. (eval_size sizes t)
+  in
+  { b_total = !total *. k; b_compute = !compute *. k; b_mem = !mem *. k;
+    b_accel = !accel *. k }
 
 let instr_cycles ctx i =
-  let s = fresh () in
-  if add_instr ctx s i then Some s.total else None
+  Option.map
+    (fun s -> (apply { steps = [| s |]; trip = None } ctx.sizes).b_total)
+    (compile_instr ctx.place ~local:(lazy (local_region ctx.place)) i)
 
-(* The node's sums after its loop trip, or [None]. *)
-let node_sums ctx (n : Node.t) =
-  let s = fresh () in
-  let ok =
-    match n.Node.kind with
-    | Node.N_vcall v -> add_vcall ctx s v
-    | Node.N_compute is -> List.for_all (add_instr ctx s) is
-  in
-  if not ok then None
-  else begin
-    let k =
-      match n.Node.loop_trip with
-      | None -> 1.
-      | Some t -> Float.max 1. (eval_size ctx.sizes t)
-    in
-    s.total <- s.total *. k;
-    s.compute <- s.compute *. k;
-    s.mem <- s.mem *. k;
-    s.accel <- s.accel *. k;
-    Some s
-  end
+let node_breakdown ctx n = Option.map (fun c -> apply c ctx.sizes) (compile ctx.place n)
 
-let node_breakdown ctx n =
-  match node_sums ctx n with
-  | None -> None
-  | Some s -> Some { b_total = s.total; b_compute = s.compute; b_mem = s.mem; b_accel = s.accel }
-
-let node_cycles ctx n =
-  match node_sums ctx n with None -> None | Some s -> Some s.total
+let node_cycles ctx n = Option.map (fun b -> b.b_total) (node_breakdown ctx n)

@@ -47,11 +47,12 @@ let packet_region_for lnic (u : L.Unit_.t) ~packet_bytes =
 
 let cost_ctx lnic (u : L.Unit_.t) ~sizes ~state_region ~state_footprint =
   {
-    D.Cost.lnic;
-    exec_unit = u;
-    state_region;
-    state_footprint;
-    packet_region = packet_region_for lnic u ~packet_bytes:sizes.D.Cost.packet_bytes;
+    D.Cost.place =
+      { D.Cost.lnic;
+        exec_unit = u;
+        state_region;
+        state_footprint;
+        packet_region = packet_region_for lnic u ~packet_bytes:sizes.D.Cost.packet_bytes };
     sizes;
   }
 

@@ -9,10 +9,10 @@
     {!create}; wire/hub constants bracket the path.  Averaging over a
     trace yields the Figure 3 "Predicted" series.
 
-    There is one walk per packet.  {!packet_latency},
-    {!packet_components} and {!perfetto_timeline} are views of it, and
-    {!predict_trace} and {!attribute_trace} are folds of it over a
-    trace. *)
+    There is one walk per packet, and {!run} is the one pass of it over
+    a trace.  {!packet_latency} and {!packet_components} are views of
+    the walk; {!predict_trace}, {!attribute_trace} and
+    {!perfetto_timeline} are projections of {!run}. *)
 
 type config = {
   scan_match_fraction : float;  (** DPI match probability. *)
@@ -41,11 +41,24 @@ val create :
   Clara_dataflow.Graph.t ->
   Clara_mapping.Mapping.t ->
   t
+(** Compiles every node's price ({!Price.create}) and resolves the
+    CFG's guards against the NF's tables, so a walk only evaluates size
+    terms and guards.  Prices keep the
+    {!Clara_dataflow.Cost.cache_locality} of this call.
+
+    @raise Invalid_argument when the mapping puts a node the walk can
+    reach on a unit that cannot run it. *)
+
+exception Walk_limit
+(** Raised by a walk that visits more than 10 000 blocks for one packet:
+    a CFG cycle that is not a [Loop] terminator (a well-formed lowering
+    never builds one). *)
 
 type per_packet = { cycles : float; emitted : bool }
 
 val packet_latency : t -> Clara_workload.Packet.t -> per_packet
-(** Stateful: table-hit guards depend on the packets seen so far. *)
+(** Stateful: table-hit guards depend on the packets seen so far.
+    @raise Walk_limit on a CFG the walk cannot finish. *)
 
 val reset_state : t -> unit
 (** Forget tracked flow state (fresh run). *)
@@ -61,7 +74,7 @@ type prediction = {
 }
 
 val predict_trace : t -> Clara_workload.Trace.t -> prediction
-(** Resets state, then walks every packet and {!summarize}s. *)
+(** [(run t trace).prediction]. *)
 
 val summarize :
   Clara_workload.Trace.t -> (Clara_workload.Packet.t -> per_packet) -> prediction
@@ -116,14 +129,29 @@ type attribution = {
 }
 
 val attribute_trace : t -> Clara_workload.Trace.t -> attribution
-(** Resets state and folds the predictor's walk over the trace, so with
-    the same RNG seed the totals match {!predict_trace} exactly. *)
+(** [(run t trace).attribution]: its totals match {!predict_trace}
+    exactly. *)
 
 val pp_attribution : Format.formatter -> attribution -> unit
 
 val perfetto_timeline : t -> Clara_workload.Trace.t -> Clara_util.Json.t
 (** The analytic per-packet timeline (packets end-to-end on one track,
     wire + per-node spans) as Chrome/Perfetto trace-event JSON — the
-    predictor-side counterpart of [clara trace]'s export.  Resets state;
-    the node spans are the walk's own charges, so each packet's spans
-    sum to its [pc_total]. *)
+    predictor-side counterpart of [clara trace]'s export: the
+    [timeline] of [run ~timeline:true].  The node spans are the walk's
+    own charges, so each packet's spans sum to its [pc_total]. *)
+
+(** {2 The one pass} *)
+
+type run = {
+  prediction : prediction;
+  attribution : attribution;
+  timeline : Clara_util.Json.t option;  (** With [~timeline:true] only. *)
+}
+
+val run : ?timeline:bool -> t -> Clara_workload.Trace.t -> run
+(** Resets state, then walks every packet of the trace once, in order,
+    and yields the prediction ({!summarize}'s aggregate of the walks),
+    the attribution and, when [timeline] is set (default [false]), the
+    Perfetto timeline.  With the same RNG seed every field equals what
+    a separate pass would give. *)

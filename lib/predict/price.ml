@@ -3,27 +3,18 @@ module D = Clara_dataflow
 module Ir = Clara_cir.Ir
 module M = Clara_mapping.Mapping
 
-(* Where a node runs: its unit, and the packet region that unit sees for
-   packets up to the CTM threshold and beyond it. *)
-type slot = { unit_ : L.Unit_.t; small_packet : int; large_packet : int }
+(* A node's compiled price for packets up to the CTM threshold and
+   beyond it. *)
+type priced = { small : D.Cost.compiled option; large : D.Cost.compiled option }
 
 type t = {
-  lnic : L.Graph.t;
   ctm_threshold : int;
-  slots : slot array;  (* by node id *)
-  replay : slot option;  (* the first general core *)
-  state_region : string -> int;
-  state_footprint : string -> int;
+  units : L.Unit_.t array;  (* by node id *)
+  mapped : priced array;  (* by node id, on its unit *)
+  replay : priced array;  (* by node id, on the first general core; [||] without one *)
   state_entries : string -> float;
   block_nodes : D.Node.t list array;  (* by CIR block id *)
 }
-
-let slot lnic (u : L.Unit_.t) =
-  let threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold in
-  let region bytes =
-    Clara_mapping.Encode.packet_region_for lnic u ~packet_bytes:(float_of_int bytes)
-  in
-  { unit_ = u; small_packet = region threshold; large_packet = region (threshold + 1) }
 
 (* A lookup over the NF's state objects; the first declaration of a name
    wins. *)
@@ -35,23 +26,45 @@ let state_table (df : D.Graph.t) f ~default =
     (D.Graph.states df);
   fun s -> Option.value ~default (Hashtbl.find_opt tbl s)
 
-let make lnic (df : D.Graph.t) slots ~state_region =
+let make lnic (df : D.Graph.t) units ~state_region =
+  let threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold in
+  let state_footprint = state_table df Ir.state_bytes ~default:0 in
+  (* The placement of unit [u] for packets of [bytes]. *)
+  let place u bytes =
+    { D.Cost.lnic; exec_unit = u; state_region; state_footprint;
+      packet_region =
+        Clara_mapping.Encode.packet_region_for lnic u ~packet_bytes:(float_of_int bytes) }
+  in
+  let price u n =
+    let small = place u threshold and large = place u (threshold + 1) in
+    let c = D.Cost.compile small n in
+    { small = c;
+      large =
+        (if large.D.Cost.packet_region = small.D.Cost.packet_region then c
+         else D.Cost.compile large n) }
+  in
+  let nodes = df.D.Graph.nodes in
+  let mapped = Array.mapi (fun i n -> price units.(i) n) nodes in
+  let replay =
+    match L.Graph.general_cores lnic with
+    | [] -> [||]
+    | core :: _ ->
+        Array.mapi
+          (fun i n ->
+            if units.(i).L.Unit_.id = core.L.Unit_.id then mapped.(i) else price core n)
+          nodes
+  in
   let blocks = Array.make (Array.length df.D.Graph.cir.Ir.blocks) [] in
-  for i = Array.length df.D.Graph.nodes - 1 downto 0 do
-    let n = df.D.Graph.nodes.(i) in
+  for i = Array.length nodes - 1 downto 0 do
+    let n = nodes.(i) in
     let b = n.D.Node.block in
     if b >= 0 && b < Array.length blocks then blocks.(b) <- n :: blocks.(b)
   done;
   {
-    lnic;
-    ctm_threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold;
-    slots;
-    replay =
-      (match L.Graph.general_cores lnic with
-      | [] -> None
-      | core :: _ -> Some (slot lnic core));
-    state_region;
-    state_footprint = state_table df Ir.state_bytes ~default:0;
+    ctm_threshold = threshold;
+    units;
+    mapped;
+    replay;
     state_entries =
       state_table df (fun o -> float_of_int o.Ir.st_entries) ~default:0.;
     block_nodes = blocks;
@@ -74,14 +87,12 @@ let create lnic (df : D.Graph.t) (mapping : M.t) =
           (match p with M.In_memory m -> m | M.In_accel _ -> external_mem))
     mapping.M.state_place;
   make lnic df
-    (Array.map (fun uid -> slot lnic (L.Graph.unit_ lnic uid)) mapping.M.node_unit)
+    (Array.map (L.Graph.unit_ lnic) mapping.M.node_unit)
     ~state_region:(fun s -> Option.value ~default:external_mem (Hashtbl.find_opt placed s))
 
 let all_on lnic (df : D.Graph.t) u =
   let region = external_mem lnic in
-  make lnic df
-    (Array.make (Array.length df.D.Graph.nodes) (slot lnic u))
-    ~state_region:(fun _ -> region)
+  make lnic df (Array.make (Array.length df.D.Graph.nodes) u) ~state_region:(fun _ -> region)
 
 let default_sizes =
   {
@@ -94,30 +105,29 @@ let default_sizes =
 
 let with_entries t (sizes : D.Cost.sizes) = { sizes with D.Cost.state_entries = t.state_entries }
 
-let unit_of t (n : D.Node.t) = t.slots.(n.D.Node.id).unit_
+let unit_of t (n : D.Node.t) = t.units.(n.D.Node.id)
 
 let block_nodes t bid =
   if bid >= 0 && bid < Array.length t.block_nodes then t.block_nodes.(bid) else []
 
-(* The one place a mapped NF's [Cost.ctx] is built. *)
-let ctx t s (sizes : D.Cost.sizes) =
-  {
-    D.Cost.lnic = t.lnic;
-    exec_unit = s.unit_;
-    state_region = t.state_region;
-    state_footprint = t.state_footprint;
-    packet_region =
-      (if int_of_float sizes.D.Cost.packet_bytes <= t.ctm_threshold then s.small_packet
-       else s.large_packet);
-    sizes;
-  }
+let runs t (n : D.Node.t) =
+  let p = t.mapped.(n.D.Node.id) in
+  Option.is_some p.small && Option.is_some p.large
 
-let node t sizes (n : D.Node.t) = D.Cost.node_breakdown (ctx t t.slots.(n.D.Node.id) sizes) n
+let side t p (sizes : D.Cost.sizes) =
+  if int_of_float sizes.D.Cost.packet_bytes <= t.ctm_threshold then p.small else p.large
 
-let software_cycles t sizes n =
-  match t.replay with
-  | None -> 0.
-  | Some s -> Option.value ~default:0. (D.Cost.node_cycles (ctx t s sizes) n)
+let node t sizes (n : D.Node.t) =
+  match side t t.mapped.(n.D.Node.id) sizes with
+  | None -> None
+  | Some c -> Some (D.Cost.apply c sizes)
+
+let software_cycles t sizes (n : D.Node.t) =
+  if Array.length t.replay = 0 then 0.
+  else
+    match side t t.replay.(n.D.Node.id) sizes with
+    | None -> 0.
+    | Some c -> (D.Cost.apply c sizes).D.Cost.b_total
 
 let wire lnic ~packet_bytes =
   let params = lnic.L.Graph.params in

@@ -1,14 +1,19 @@
-(** The price context of a mapped NF: everything {!Clara_dataflow.Cost}
-    needs to price a node that does not depend on the packet, resolved
-    once per (LNIC, dataflow graph, mapping).
+(** The compiled prices of a mapped NF: every node's
+    {!Clara_dataflow.Cost.compiled} price, built once per (LNIC,
+    dataflow graph, mapping).
 
-    Per node that is the executing unit and the packet region on each
-    side of [packet_ctm_threshold]; per state object its region (Γ, with
-    accelerator-hosted state charged at external memory), its footprint
-    and its declared entry count.  What is left per packet is the
-    packet's sizes and {!Clara_dataflow.Cost.node_breakdown} itself.
+    Each node is compiled on its unit for both sides of
+    [packet_ctm_threshold] (the packet region differs), and once more on
+    the LNIC's first general core for the off-path miss replay.  State
+    is priced in its region (Γ, with accelerator-hosted state charged at
+    external memory) at its footprint.  What is left per packet is an
+    array read and {!Clara_dataflow.Cost.apply} on the packet's sizes.
     The latency walk, the path enumerator, and the throughput, energy
-    and partial-offload estimators all price through one of these. *)
+    and partial-offload estimators all price through one of these.
+
+    {!Clara_dataflow.Cost.cache_locality} is read here, in {!create} and
+    {!all_on}: a value built earlier keeps the discount it was built
+    under. *)
 
 type t
 
@@ -37,6 +42,10 @@ val unit_of : t -> Clara_dataflow.Node.t -> Clara_lnic.Unit_.t
 
 val block_nodes : t -> int -> Clara_dataflow.Node.t list
 (** The nodes of a CIR block, in node order; [[]] for a block with none. *)
+
+val runs : t -> Clara_dataflow.Node.t -> bool
+(** Whether the node's unit can run it, for packets on either side of
+    the CTM threshold. *)
 
 val node :
   t -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Node.t ->

@@ -132,11 +132,12 @@ let test_cost_core_vs_accel () =
   let csum = Option.get (L.Graph.find_accelerator lnic L.Unit_.Checksum) in
   let ctx u =
     {
-      D.Cost.lnic;
-      exec_unit = u;
-      state_region = (fun _ -> 4);
-      state_footprint = (fun _ -> 2 * 1024 * 1024);
-      packet_region = 2;
+      D.Cost.place =
+        { D.Cost.lnic;
+          exec_unit = u;
+          state_region = (fun _ -> 4);
+          state_footprint = (fun _ -> 2 * 1024 * 1024);
+          packet_region = 2 };
       sizes = { default_sizes with D.Cost.packet_bytes = 1000. };
     }
   in
@@ -159,11 +160,12 @@ let test_cost_memory_placement_matters () =
   let emem = (L.Netronome.emem lnic).L.Memory.id in
   let mk_ctx region footprint =
     {
-      D.Cost.lnic;
-      exec_unit = npu;
-      state_region = (fun _ -> region);
-      state_footprint = (fun _ -> footprint);
-      packet_region = ctm;
+      D.Cost.place =
+        { D.Cost.lnic;
+          exec_unit = npu;
+          state_region = (fun _ -> region);
+          state_footprint = (fun _ -> footprint);
+          packet_region = ctm };
       sizes = default_sizes;
     }
   in
@@ -192,8 +194,10 @@ let test_cost_fpu_emulation () =
     let u = List.hd (L.Graph.general_cores lnic) in
     Option.get
       (D.Cost.node_cycles
-         { D.Cost.lnic; exec_unit = u; state_region = (fun _ -> 0);
-           state_footprint = (fun _ -> 0); packet_region = 2; sizes = default_sizes }
+         { D.Cost.place =
+             { D.Cost.lnic; exec_unit = u; state_region = (fun _ -> 0);
+               state_footprint = (fun _ -> 0); packet_region = 2 };
+           sizes = default_sizes }
          node)
   in
   check "fp on NPU (no fpu) >> fp on ARM" true (cost netro > 10. *. cost soc)

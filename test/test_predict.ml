@@ -172,21 +172,22 @@ let test_symexec_flow_weight_consistency () =
       Clara_lnic.Graph.unit_ lnic a.Clara.mapping.Clara_mapping.Mapping.node_unit.(n.Clara_dataflow.Node.id)
     in
     let ctx =
-      { Clara_dataflow.Cost.lnic;
-        exec_unit = unit_;
-        state_region =
-          (fun s ->
-            match Clara_mapping.Mapping.placement_of_state a.Clara.mapping s with
-            | Some (Clara_mapping.Mapping.In_memory m) -> m
-            | _ -> (Clara_lnic.Netronome.emem lnic).Clara_lnic.Memory.id);
-        state_footprint =
-          (fun s ->
-            match List.find_opt (fun o -> o.Clara_cir.Ir.st_name = s) states with
-            | Some o -> Clara_cir.Ir.state_bytes o
-            | None -> 0);
-        packet_region =
-          Clara_mapping.Encode.packet_region_for lnic unit_
-            ~packet_bytes:sizes_resolved.Clara_dataflow.Cost.packet_bytes;
+      { Clara_dataflow.Cost.place =
+          { Clara_dataflow.Cost.lnic;
+            exec_unit = unit_;
+            state_region =
+              (fun s ->
+                match Clara_mapping.Mapping.placement_of_state a.Clara.mapping s with
+                | Some (Clara_mapping.Mapping.In_memory m) -> m
+                | _ -> (Clara_lnic.Netronome.emem lnic).Clara_lnic.Memory.id);
+            state_footprint =
+              (fun s ->
+                match List.find_opt (fun o -> o.Clara_cir.Ir.st_name = s) states with
+                | Some o -> Clara_cir.Ir.state_bytes o
+                | None -> 0);
+            packet_region =
+              Clara_mapping.Encode.packet_region_for lnic unit_
+                ~packet_bytes:sizes_resolved.Clara_dataflow.Cost.packet_bytes };
         sizes = sizes_resolved }
     in
     Option.value ~default:0. (Clara_dataflow.Cost.node_cycles ctx n)
@@ -484,6 +485,267 @@ let test_throughput_wire_cost_convention () =
   check "free wire is never the bottleneck" true
     (t0.Tp.bottleneck.Tp.resource <> "wire-dma")
 
+(* ---- Staged prices: compile once, apply per packet ----------------- *)
+
+module Price = Clara_predict.Price
+module Ir = Clara_cir.Ir
+module Mp = Clara_mapping.Mapping
+
+let nics = [ "netronome"; "soc"; "bluefield" ]
+
+(* Corpus NFs price only ops, vcalls and state accesses once lowered and
+   coarsened; this one keeps packet loads, one of them in a payload loop
+   the pattern pass cannot coarsen. *)
+let raw_bytes_src =
+  {|
+nf raw_bytes {
+  state counter hist[256] entry 8;
+
+  handler process(pkt) {
+    var hdr = parse_header(pkt);
+    var first = payload_byte(pkt, 0);
+    for (i = 0; i < payload_len(pkt); i = i + 1) {
+      state_write(hist, payload_byte(pkt, i), i);
+    }
+    if (first == 42) {
+      drop(pkt);
+    } else {
+      emit(pkt);
+    }
+  }
+}
+|}
+
+(* Every corpus NF, and [raw_bytes_src], mapped on every target with its
+   compiled prices. *)
+let corpus_cells =
+  lazy
+    (let prof = profile ~packets:500 () in
+     let sources =
+       List.map
+         (fun (e : Clara_nfs.Corpus.entry) -> (e.Clara_nfs.Corpus.name, e.Clara_nfs.Corpus.source))
+         Clara_nfs.Corpus.all
+       @ [ ("raw-bytes", raw_bytes_src) ]
+     in
+     List.concat_map
+       (fun (nf, source) ->
+         List.map
+           (fun nic ->
+             let lnic = Option.get (L.Targets.find nic) in
+             let name = nf ^ "@" ^ nic in
+             match Clara.analyze_for_profile lnic ~source ~profile:prof with
+             | Error err -> Alcotest.fail (name ^ ": " ^ err)
+             | Ok a ->
+                 ( name, lnic, a.Clara.df, a.Clara.mapping,
+                   Price.create lnic a.Clara.df a.Clara.mapping ))
+           nics)
+       sources)
+
+let packet_accesses (df : D.Graph.t) =
+  Array.exists
+    (fun (n : D.Node.t) ->
+      match n.D.Node.kind with
+      | D.Node.N_compute is ->
+          List.exists
+            (function Ir.Load Ir.L_packet | Ir.Store Ir.L_packet -> true | _ -> false)
+            is
+      | D.Node.N_vcall _ -> false)
+    df.D.Graph.nodes
+
+let test_cells_price_packet_accesses () =
+  List.iter
+    (fun (name, _, df, _, _) ->
+      if String.starts_with ~prefix:"raw-bytes@" name then
+        check (name ^ " keeps packet loads") true (packet_accesses df))
+    (Lazy.force corpus_cells)
+
+(* The one-shot context for a node on unit [u], built from the mapping
+   and the NF's declarations independently of [Price]. *)
+let reference_ctx lnic df mapping (u : L.Unit_.t) (pkt : W.Packet.t) =
+  let decl s = List.find_opt (fun o -> o.Ir.st_name = s) (D.Graph.states df) in
+  let external_mem =
+    match
+      Array.find_opt (fun m -> m.L.Memory.level = L.Memory.External) lnic.L.Graph.memories
+    with
+    | Some m -> m.L.Memory.id
+    | None -> 0
+  in
+  let packet_bytes = float_of_int (W.Packet.total_bytes pkt) in
+  {
+    D.Cost.place =
+      {
+        D.Cost.lnic;
+        exec_unit = u;
+        state_region =
+          (fun s ->
+            match Mp.placement_of_state mapping s with
+            | Some (Mp.In_memory m) -> m
+            | _ -> external_mem);
+        state_footprint =
+          (fun s -> match decl s with Some o -> Ir.state_bytes o | None -> 0);
+        packet_region = Clara_mapping.Encode.packet_region_for lnic u ~packet_bytes;
+      };
+    sizes =
+      {
+        D.Cost.payload_bytes = float_of_int pkt.W.Packet.payload_bytes;
+        packet_bytes;
+        header_bytes = float_of_int (W.Packet.header_bytes pkt);
+        state_entries =
+          (fun s -> match decl s with Some o -> float_of_int o.Ir.st_entries | None -> 0.);
+        opaque_trip = 1.;
+      };
+  }
+
+(* The sizes the predictor's walk prices a packet at. *)
+let walk_sizes price (pkt : W.Packet.t) =
+  Price.with_entries price
+    { Price.default_sizes with
+      D.Cost.packet_bytes = float_of_int (W.Packet.total_bytes pkt);
+      payload_bytes = float_of_int pkt.W.Packet.payload_bytes;
+      header_bytes = float_of_int (W.Packet.header_bytes pkt) }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_breakdown (a : D.Cost.breakdown option) (b : D.Cost.breakdown option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      same_bits a.D.Cost.b_total b.D.Cost.b_total
+      && same_bits a.D.Cost.b_compute b.D.Cost.b_compute
+      && same_bits a.D.Cost.b_mem b.D.Cost.b_mem
+      && same_bits a.D.Cost.b_accel b.D.Cost.b_accel
+  | _ -> false
+
+(* A TCP or UDP packet with [payload] bytes. *)
+let packet ~tcp ~syn ~payload =
+  { W.Packet.src_ip = 0x0a000001l; dst_ip = 0x0a000002l; src_port = 1234; dst_port = 80;
+    proto = (if tcp then W.Packet.Tcp else W.Packet.Udp);
+    flags = (if tcp && syn then 0x2 else 0);
+    payload_bytes = payload; arrival_ns = 0L }
+
+(* Per cell, two packets: one with a payload uniform over 0..1500 B, one
+   whose total size lies [delta] bytes from the target's CTM threshold. *)
+let prop_staged_prices_identical =
+  QCheck.Test.make ~name:"Price.node = Cost.node_breakdown, bit for bit" ~count:60
+    QCheck.(quad bool bool (int_range 0 1500) (int_range (-3) 3))
+    (fun (tcp, syn, uniform, delta) ->
+      List.for_all
+        (fun (name, lnic, df, mapping, price) ->
+          let threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold in
+          let straddle =
+            let p = packet ~tcp ~syn ~payload:0 in
+            max 0 (min 1500 (threshold - W.Packet.header_bytes p + delta))
+          in
+          List.for_all
+            (fun payload ->
+              let pkt = packet ~tcp ~syn ~payload in
+              let sizes = walk_sizes price pkt in
+              Array.for_all
+                (fun (n : D.Node.t) ->
+                  let u = Price.unit_of price n in
+                  let staged = Price.node price sizes n in
+                  let oneshot = D.Cost.node_breakdown (reference_ctx lnic df mapping u pkt) n in
+                  let replay_ok =
+                    match L.Graph.general_cores lnic with
+                    | core :: _ ->
+                        same_bits
+                          (Price.software_cycles price sizes n)
+                          (Option.value ~default:0.
+                             (D.Cost.node_cycles (reference_ctx lnic df mapping core pkt) n))
+                    | [] -> true
+                  in
+                  (same_breakdown staged oneshot && replay_ok)
+                  || QCheck.Test.fail_reportf "%s: node n%d differs at %d B payload" name
+                       n.D.Node.id payload)
+                df.D.Graph.nodes)
+            [ uniform; straddle ])
+        (Lazy.force corpus_cells))
+
+let nat_on_netronome () =
+  let a = analyze (Clara_nfs.Nat.source ()) (profile ()) in
+  (a.Clara.df, a.Clara.mapping)
+
+let test_create_rejects_unexecutable () =
+  let df, mapping = nat_on_netronome () in
+  let accel = Option.get (L.Graph.find_accelerator lnic L.Unit_.Checksum) in
+  (* Every node on the checksum engine: its compute nodes cannot run. *)
+  let bad = { mapping with Mp.node_unit = Array.map (fun _ -> accel.L.Unit_.id) mapping.Mp.node_unit } in
+  check "create raises Invalid_argument" true
+    (match Lat.create lnic df bad with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check "the real mapping is accepted" true
+    (match Lat.create lnic df mapping with _ -> true)
+
+let test_walk_limit () =
+  let df, mapping = nat_on_netronome () in
+  let cir = df.D.Graph.cir in
+  (* The entry block jumps to itself: a cycle that is not a Loop. *)
+  let blocks = Array.copy cir.Ir.blocks in
+  blocks.(cir.Ir.entry) <- { (blocks.(cir.Ir.entry)) with Ir.term = Ir.Jump cir.Ir.entry };
+  let df' = { df with D.Graph.cir = { cir with Ir.blocks } } in
+  let t = Lat.create lnic df' mapping in
+  check "walk raises Walk_limit" true
+    (match Lat.packet_latency t (packet ~tcp:true ~syn:true ~payload:300) with
+    | exception Lat.Walk_limit -> true
+    | _ -> false)
+
+let test_cache_locality_captured () =
+  (* As in the bench's locality ablation: a software LPM whose rules are
+     pinned to the cached EMEM, priced through the locality discount. *)
+  let options =
+    { Mp.default_options with
+      Mp.disallowed_accels = [ L.Unit_.Lookup ];
+      pin_state = [ ("routes", L.Memory.External) ] }
+  in
+  let prof = profile ~packets:300 () in
+  let a = analyze ~options (Clara_nfs.Lpm.source ~entries:20_000) prof in
+  let df = a.Clara.df and mapping = a.Clara.mapping in
+  let trace = W.Trace.synthesize ~seed:5L prof in
+  let mean t = (Lat.predict_trace t trace).Lat.mean_cycles in
+  let saved = !D.Cost.cache_locality in
+  let before = Lat.create lnic df mapping in
+  let mean_before = mean before in
+  let after =
+    Fun.protect
+      ~finally:(fun () -> D.Cost.cache_locality := saved)
+      (fun () ->
+        D.Cost.cache_locality := 0.5;
+        let after = Lat.create lnic df mapping in
+        check "a predictor created earlier keeps its discount" true
+          (same_bits (mean before) mean_before);
+        after)
+  in
+  (* [after] is walked once the value is restored: it kept 0.5, so its
+     cache hits are rarer and its prediction higher. *)
+  check "a predictor created after the change reflects it" true
+    (mean after > mean_before)
+
+(* [summarize] finds its percentiles by selection; they must be the
+   nearest-rank values of the sorted latencies. *)
+let prop_summarize_nearest_rank =
+  QCheck.Test.make ~name:"summarize p50/p99 = nearest rank of the sorted latencies"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 300) (int_range 0 40))
+    (fun xs ->
+      (* Few distinct values, as in traces of few packet kinds. *)
+      let lats = Array.of_list (List.map (fun x -> 100. +. (7.5 *. float_of_int x)) xs) in
+      let n = Array.length lats in
+      let trace =
+        { W.Trace.packets = Array.init n (fun _ -> packet ~tcp:true ~syn:false ~payload:100);
+          profile = None }
+      in
+      let i = ref (-1) in
+      let p =
+        Lat.summarize trace (fun _ ->
+            incr i;
+            { Lat.cycles = lats.(!i); emitted = true })
+      in
+      let sorted = Array.copy lats in
+      Array.sort Float.compare sorted;
+      let rank q = sorted.(max 0 (int_of_float (Float.ceil (float_of_int n *. q)) - 1)) in
+      same_bits p.Lat.p50_cycles (rank 0.5) && same_bits p.Lat.p99_cycles (rank 0.99))
+
 let suite =
   [ Alcotest.test_case "prediction positive & size-monotone" `Quick
       test_prediction_positive_and_monotone;
@@ -510,4 +772,13 @@ let suite =
     Alcotest.test_case "Fig 3a shape: linear in entries" `Quick
       test_accuracy_monotone_in_entries;
     Alcotest.test_case "throughput wire-cost convention" `Quick
-      test_throughput_wire_cost_convention ]
+      test_throughput_wire_cost_convention;
+    Alcotest.test_case "identity cells price packet loads" `Quick
+      test_cells_price_packet_accesses;
+    QCheck_alcotest.to_alcotest prop_staged_prices_identical;
+    QCheck_alcotest.to_alcotest prop_summarize_nearest_rank;
+    Alcotest.test_case "create rejects unexecutable nodes" `Quick
+      test_create_rejects_unexecutable;
+    Alcotest.test_case "walk limit is typed" `Quick test_walk_limit;
+    Alcotest.test_case "predictor captures cache locality" `Quick
+      test_cache_locality_captured ]
