@@ -4,10 +4,10 @@
     {!Interval} domain computes, per traffic class, how many times each
     block can execute for one packet (loop trips inferred from guards
     and payload-length ranges; branch arms contradicted by the class's
-    guard facts killed), then multiplies the counts into
-    {!Clara_dataflow.Cost_interval} node envelopes to yield sound
-    per-axis cycle intervals on the [queue; compute; accel_wait; mem;
-    wire] basis the calibration ledger uses.
+    guard facts killed), then multiplies the counts into {!Cost_range}
+    node envelopes to yield sound per-axis cycle intervals on the
+    [queue; compute; accel_wait; mem; wire] basis the calibration
+    ledger uses.
 
     Soundness contract: for every admissible execution (any placement,
     any packet in the size envelope, any cache/table regime, bounded
@@ -50,6 +50,12 @@ type t = {
 }
 
 val mtu_payload : float
+
+val sizes_for :
+  ?payload_max:float -> Clara_cir.Ir.program -> ptype:string -> Cost_range.sizes
+(** The size envelope of a packet type (a [tb_type] name): payload in
+    [[0, payload_max]] (default {!mtu_payload}), the type's header
+    bytes, declared state entry counts, opaque trips in [[1, inf)]. *)
 
 val analyze :
   ?payload_max:float -> lnic:Clara_lnic.Graph.t -> Clara_cir.Ir.program -> t

@@ -73,17 +73,6 @@ let edge ~(src : Ir.block) ~dst x =
           | Some fs' -> L.Facts fs')
       | _ -> x)
 
-let cfg_reachable (p : Ir.program) =
-  let n = Array.length p.Ir.blocks in
-  let seen = Array.make n false in
-  let rec go b =
-    if not seen.(b) then (
-      seen.(b) <- true;
-      List.iter go (Ir.successors p.Ir.blocks.(b).Ir.term))
-  in
-  go p.Ir.entry;
-  seen
-
 let analyze (p : Ir.program) =
   match
     Solver.solve ~edge ~init:(L.Facts []) ~transfer:(fun _ x -> x) p
@@ -100,7 +89,7 @@ let analyze (p : Ir.program) =
              budget);
       ]
   | Solver.Fixpoint r ->
-      let reachable = cfg_reachable p in
+      let reachable = Ir.reachable p in
       let diags = ref [] in
       let emit d = diags := d :: !diags in
       Array.iter

@@ -99,6 +99,14 @@ val successors : terminator -> int list
 val block : program -> int -> block
 (** @raise Invalid_argument on a bad block id. *)
 
+val reachable : program -> bool array
+(** By block id: whether a CFG walk from the entry reaches the block. *)
+
+val loop_body : program -> header:int -> body:int -> exit:int -> int list
+(** The blocks of a structured loop: reachable from [body] without
+    passing through [header] or [exit], most recently discovered first.
+    Callers that record back edges depend on that order. *)
+
 val vcall :
   ?state:string -> ?reads:size_expr -> ?writes:size_expr ->
   Clara_lnic.Params.vcall -> size_expr -> instr

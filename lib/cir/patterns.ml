@@ -7,21 +7,10 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Reachability + renumbering                                          *)
-
-let reachable (p : Ir.program) =
-  let seen = Array.make (Array.length p.blocks) false in
-  let rec go bid =
-    if not seen.(bid) then begin
-      seen.(bid) <- true;
-      List.iter go (Ir.successors (Ir.block p bid).Ir.term)
-    end
-  in
-  go p.entry;
-  seen
+(* Renumbering                                                         *)
 
 let eliminate_dead_blocks (p : Ir.program) =
-  let seen = reachable p in
+  let seen = Ir.reachable p in
   let n = Array.length p.blocks in
   let remap = Array.make n (-1) in
   let next = ref 0 in
@@ -52,22 +41,6 @@ let eliminate_dead_blocks (p : Ir.program) =
     in
     ({ p with Ir.entry = remap.(p.entry); blocks }, removed)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Loop-body collection                                                *)
-
-(* Blocks of a structured loop body: reachable from [body] without
-   passing through [header] or [exit]. *)
-let body_blocks (p : Ir.program) ~header ~body ~exit =
-  let seen = ref [] in
-  let rec go bid =
-    if bid <> header && bid <> exit && not (List.mem bid !seen) then begin
-      seen := bid :: !seen;
-      List.iter go (Ir.successors (Ir.block p bid).Ir.term)
-    end
-  in
-  go body;
-  !seen
 
 (* ------------------------------------------------------------------ *)
 (* Loop classification                                                 *)
@@ -164,7 +137,7 @@ let coarsen_loops (p : Ir.program) =
       (fun (b : Ir.block) ->
         match b.Ir.term with
         | Ir.Loop { body; exit; trip } when payloadish (strip_size trip) -> (
-            let bblocks = body_blocks p ~header:b.Ir.bid ~body ~exit in
+            let bblocks = Ir.loop_body p ~header:b.Ir.bid ~body ~exit in
             match classify_loop p bblocks with
             | Sh_unknown -> b
             | shape ->

@@ -1,18 +1,5 @@
 module Ir = Clara_cir.Ir
 
-(* Blocks inside a structured loop body: reachable from [body] without
-   passing through the header or the exit. *)
-let body_blocks (p : Ir.program) ~header ~body ~exit =
-  let seen = ref [] in
-  let rec go bid =
-    if bid <> header && bid <> exit && not (List.mem bid !seen) then begin
-      seen := bid :: !seen;
-      List.iter go (Ir.successors (Ir.block p bid).Ir.term)
-    end
-  in
-  go body;
-  !seen
-
 let of_ir (p : Ir.program) : Graph.t =
   let nblocks = Array.length p.Ir.blocks in
   (* Loop structure: trip count per block, and back edges to drop. *)
@@ -22,7 +9,7 @@ let of_ir (p : Ir.program) : Graph.t =
     (fun (b : Ir.block) ->
       match b.Ir.term with
       | Ir.Loop { body; exit; trip } ->
-          let members = body_blocks p ~header:b.Ir.bid ~body ~exit in
+          let members = Ir.loop_body p ~header:b.Ir.bid ~body ~exit in
           List.iter
             (fun m ->
               block_trip.(m) <- Some trip;

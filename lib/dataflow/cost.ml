@@ -40,6 +40,8 @@ type ctx = { place : placement; sizes : sizes }
    residual is visible as Figure 3a's ~10% overprediction. *)
 let cache_locality = ref 0.85
 
+type mode = [ `Read | `Write | `Atomic ]
+
 (* A region as one unit sees it in one access mode: everything of its
    price but the footprint.  [cache] is (hit cycles, cache bytes), only
    for cached reads and writes; [locality] is [!cache_locality] when the
@@ -51,11 +53,11 @@ type region = {
   locality : float;
 }
 
-let resolve_region p ~mode ~mem_id =
-  match L.Graph.access_weight p.lnic ~unit_id:p.exec_unit.L.Unit_.id ~mem_id with
+let resolve_region lnic (u : L.Unit_.t) ~mode ~mem_id =
+  match L.Graph.access_weight lnic ~unit_id:u.L.Unit_.id ~mem_id with
   | None -> None
   | Some weight ->
-      let m = L.Graph.memory p.lnic mem_id in
+      let m = L.Graph.memory lnic mem_id in
       let flat =
         match mode with
         | `Read -> m.L.Memory.read_cycles
@@ -86,18 +88,69 @@ let region_cycles r ~footprint =
   in
   base +. r.weight
 
-let mem_access_cycles p ~mode ~mem_id ~footprint =
-  Option.map (region_cycles ~footprint) (resolve_region p ~mode ~mem_id)
-
 (* Fastest reachable region of level Local (for register/stack traffic);
    falls back to the fastest reachable region of any level. *)
-let local_region p =
-  let reach = L.Graph.reachable_memories p.lnic ~unit_id:p.exec_unit.L.Unit_.id in
+let local_region lnic (u : L.Unit_.t) =
+  let reach = L.Graph.reachable_memories lnic ~unit_id:u.L.Unit_.id in
   match
     List.find_opt (fun (m, _) -> m.L.Memory.level = L.Memory.Local) reach
   with
   | Some (m, _) -> Some m.L.Memory.id
   | None -> ( match reach with (m, _) :: _ -> Some m.L.Memory.id | [] -> None)
+
+(* {2 The price table} *)
+
+type 'm price =
+  | Op of float
+  | Access of { op : float; loc : Ir.loc; mem : 'm }
+  | Core_vcall of { fn : L.Cost_fn.t; size : Ir.size_expr }
+  | State_vcall of {
+      fn : L.Cost_fn.t;
+      size : Ir.size_expr;
+      state : string;
+      reads : Ir.size_expr;
+      writes : Ir.size_expr;
+      read : 'm;
+      write : 'm;
+    }
+  | Accel_vcall of { fn : L.Cost_fn.t; size : Ir.size_expr }
+
+let price lnic (u : L.Unit_.t) ~access (i : Ir.instr) =
+  let params = lnic.L.Graph.params in
+  let mem op ~mode ~has_fpu loc =
+    Option.map
+      (fun mem -> Access { op = P.op_cost params op ~has_fpu; loc; mem })
+      (access ~mode loc)
+  in
+  match (i, u.L.Unit_.kind) with
+  | Ir.Vcall v, L.Unit_.Accelerator kind ->
+      (* Accelerators keep their operands in dedicated SRAM (e.g. the
+         flow cache); no extra per-access memory charge. *)
+      Option.map
+        (fun fn -> Accel_vcall { fn; size = v.Ir.size })
+        (P.accel_vcall_cost params kind v.Ir.vc)
+  | Ir.Vcall v, L.Unit_.General_core _ -> (
+      match (P.core_vcall_cost params v.Ir.vc, v.Ir.state) with
+      | None, _ -> None
+      | Some fn, None -> Some (Core_vcall { fn; size = v.Ir.size })
+      | Some fn, Some st -> (
+          let state = Ir.L_state st in
+          match (access ~mode:`Read state, access ~mode:`Write state) with
+          | Some read, Some write ->
+              Some
+                (State_vcall
+                   { fn; size = v.Ir.size; state = st; reads = v.Ir.state_reads;
+                     writes = v.Ir.state_writes; read; write })
+          | _ -> None))
+  | _, L.Unit_.Accelerator _ -> None
+  | Ir.Op cls, L.Unit_.General_core { has_fpu; _ } ->
+      Some (Op (P.op_cost params cls ~has_fpu))
+  | Ir.Load loc, L.Unit_.General_core { has_fpu; _ } ->
+      mem P.Load ~mode:`Read ~has_fpu loc
+  | Ir.Store loc, L.Unit_.General_core { has_fpu; _ } ->
+      mem P.Store ~mode:`Write ~has_fpu loc
+  | Ir.Atomic_op loc, L.Unit_.General_core { has_fpu; _ } ->
+      mem P.Atomic ~mode:`Atomic ~has_fpu loc
 
 (* {2 Stage one: compile}
 
@@ -107,12 +160,12 @@ let local_region p =
 
 type step =
   | Compute of float  (* a core op *)
-  | Access of { total : float; compute : float; mem : float }
+  | Fixed_access of { total : float; compute : float; mem : float }
       (* a local, state or uncached packet access: (m +. c, c, m) *)
   | Packet_access of { op : float; region : region }
       (* a cached packet access: m depends on the packet's bytes *)
-  | Core_vcall of { fn : L.Cost_fn.t; size : Ir.size_expr }
-  | State_vcall of {
+  | Core_call of { fn : L.Cost_fn.t; size : Ir.size_expr }
+  | State_call of {
       fn : L.Cost_fn.t;
       size : Ir.size_expr;
       reads : Ir.size_expr;
@@ -120,84 +173,47 @@ type step =
       read_cycles : float;
       write_cycles : float;
     }
-  | Accel_vcall of { fn : L.Cost_fn.t; size : Ir.size_expr }
+  | Accel_call of { fn : L.Cost_fn.t; size : Ir.size_expr }
 
 type compiled = { steps : step array; trip : Ir.size_expr option }
 
-let compile_vcall p (v : Ir.vcall_info) =
-  let params = p.lnic.L.Graph.params in
-  match p.exec_unit.L.Unit_.kind with
-  | L.Unit_.Accelerator kind ->
-      (* Accelerators keep their operands in dedicated SRAM (e.g. the
-         flow cache); no extra per-access memory charge. *)
-      Option.map
-        (fun fn -> Accel_vcall { fn; size = v.Ir.size })
-        (P.accel_vcall_cost params kind v.Ir.vc)
-  | L.Unit_.General_core _ -> (
-      match (P.core_vcall_cost params v.Ir.vc, v.Ir.state) with
-      | None, _ -> None
-      | Some fn, None -> Some (Core_vcall { fn; size = v.Ir.size })
-      | Some fn, Some st -> (
-          let state mode =
-            mem_access_cycles p ~mode ~mem_id:(p.state_region st)
-              ~footprint:(p.state_footprint st)
-          in
-          match (state `Read, state `Write) with
-          | Some read_cycles, Some write_cycles ->
-              Some
-                (State_vcall
-                   { fn; size = v.Ir.size; reads = v.Ir.state_reads;
-                     writes = v.Ir.state_writes; read_cycles; write_cycles })
-          | _ -> None))
-
-(* [local] resolves the node's register region at most once. *)
-let compile_instr p ~local (i : Ir.instr) =
-  let params = p.lnic.L.Graph.params in
-  let access op loc ~mode ~has_fpu =
-    let priced m =
-      let c = P.op_cost params op ~has_fpu in
-      Access { total = m +. c; compute = c; mem = m }
-    in
-    match loc with
-    | Ir.L_local ->
-        Option.bind (Lazy.force local) (fun mem_id ->
-            Option.map priced (mem_access_cycles p ~mode ~mem_id ~footprint:0))
-    | Ir.L_state s ->
-        Option.map priced
-          (mem_access_cycles p ~mode ~mem_id:(p.state_region s)
-             ~footprint:(p.state_footprint s))
-    | Ir.L_packet ->
-        Option.map
-          (fun region ->
-            match region.cache with
-            | None -> priced (region_cycles region ~footprint:0)
-            | Some _ -> Packet_access { op = P.op_cost params op ~has_fpu; region })
-          (resolve_region p ~mode ~mem_id:p.packet_region)
-  in
-  match (i, p.exec_unit.L.Unit_.kind) with
-  | Ir.Vcall v, _ -> compile_vcall p v
-  | _, L.Unit_.Accelerator _ -> None
-  | Ir.Op cls, L.Unit_.General_core { has_fpu; _ } ->
-      Some (Compute (P.op_cost params cls ~has_fpu))
-  | Ir.Load loc, L.Unit_.General_core { has_fpu; _ } ->
-      access P.Load loc ~mode:`Read ~has_fpu
-  | Ir.Store loc, L.Unit_.General_core { has_fpu; _ } ->
-      access P.Store loc ~mode:`Write ~has_fpu
-  | Ir.Atomic_op loc, L.Unit_.General_core { has_fpu; _ } ->
-      access P.Atomic loc ~mode:`Atomic ~has_fpu
+let stage p = function
+  | Op c -> Compute c
+  | Access { op; loc = Ir.L_packet; mem = ({ cache = Some _; _ } as region) } ->
+      Packet_access { op; region }
+  | Access { op; loc; mem } ->
+      let footprint = match loc with Ir.L_state s -> p.state_footprint s | _ -> 0 in
+      let m = region_cycles mem ~footprint in
+      Fixed_access { total = m +. op; compute = op; mem = m }
+  | Core_vcall { fn; size } -> Core_call { fn; size }
+  | State_vcall v ->
+      let footprint = p.state_footprint v.state in
+      State_call
+        { fn = v.fn; size = v.size; reads = v.reads; writes = v.writes;
+          read_cycles = region_cycles v.read ~footprint;
+          write_cycles = region_cycles v.write ~footprint }
+  | Accel_vcall { fn; size } -> Accel_call { fn; size }
 
 let compile p (n : Node.t) =
-  let local = lazy (local_region p) in
+  (* The register region is resolved at most once per node. *)
+  let local = lazy (local_region p.lnic p.exec_unit) in
+  let access ~mode loc =
+    let mem_id =
+      match loc with
+      | Ir.L_local -> Lazy.force local
+      | Ir.L_state s -> Some (p.state_region s)
+      | Ir.L_packet -> Some p.packet_region
+    in
+    Option.bind mem_id (fun mem_id -> resolve_region p.lnic p.exec_unit ~mode ~mem_id)
+  in
+  let step i = Option.map (stage p) (price p.lnic p.exec_unit ~access i) in
   let rec steps acc = function
     | [] -> Some (Array.of_list (List.rev acc))
-    | i :: is -> (
-        match compile_instr p ~local i with
-        | None -> None
-        | Some s -> steps (s :: acc) is)
+    | i :: is -> ( match step i with None -> None | Some s -> steps (s :: acc) is)
   in
   let steps =
     match n.Node.kind with
-    | Node.N_vcall v -> Option.map (fun s -> [| s |]) (compile_vcall p v)
+    | Node.N_vcall v -> Option.map (fun s -> [| s |]) (step (Ir.Vcall v))
     | Node.N_compute is -> steps [] is
   in
   Option.map (fun steps -> { steps; trip = n.Node.loop_trip }) steps
@@ -218,7 +234,7 @@ let apply c sizes =
     | Compute x ->
         total := !total +. x;
         compute := !compute +. x
-    | Access a ->
+    | Fixed_access a ->
         total := !total +. a.total;
         compute := !compute +. a.compute;
         mem := !mem +. a.mem
@@ -229,18 +245,18 @@ let apply c sizes =
         total := !total +. (m +. a.op);
         compute := !compute +. a.op;
         mem := !mem +. m
-    | Core_vcall v ->
+    | Core_call v ->
         let base = L.Cost_fn.eval v.fn (eval_size sizes v.size) in
         total := !total +. base;
         compute := !compute +. base
-    | State_vcall v ->
+    | State_call v ->
         let base = L.Cost_fn.eval v.fn (eval_size sizes v.size) in
         let rm = eval_size sizes v.reads *. v.read_cycles
         and wm = eval_size sizes v.writes *. v.write_cycles in
         total := !total +. (base +. rm +. wm);
         compute := !compute +. base;
         mem := !mem +. (rm +. wm)
-    | Accel_vcall v ->
+    | Accel_call v ->
         let x = L.Cost_fn.eval v.fn (eval_size sizes v.size) in
         total := !total +. x;
         accel := !accel +. x
@@ -250,11 +266,6 @@ let apply c sizes =
   in
   { b_total = !total *. k; b_compute = !compute *. k; b_mem = !mem *. k;
     b_accel = !accel *. k }
-
-let instr_cycles ctx i =
-  Option.map
-    (fun s -> (apply { steps = [| s |]; trip = None } ctx.sizes).b_total)
-    (compile_instr ctx.place ~local:(lazy (local_region ctx.place)) i)
 
 let node_breakdown ctx n = Option.map (fun c -> apply c ctx.sizes) (compile ctx.place n)
 

@@ -7,10 +7,15 @@
     cache hits for small footprints, FPU emulation on cores without
     hardware floats.
 
-    Pricing runs in two stages.  {!compile} takes a {!placement} (the
-    unit, Γ, state footprints, the packet region) and a node, and
-    resolves everything that does not depend on the packet: link
-    weights, region latencies of local and state accesses, op-class
+    {!price} is the one price table: which unit can run an instruction,
+    at what op or vcall cost, and which memory accesses it makes.  Its
+    caller prices the accesses.  Two evaluators share it: the point
+    model here, and the interval bounds ([Clara_analysis.Cost_range]).
+
+    The point model prices in two stages.  {!compile} takes a
+    {!placement} (the unit, Γ, state footprints, the packet region) and
+    a node, and resolves everything that does not depend on the packet:
+    link weights, region latencies of local and state accesses, op-class
     costs, and which cost function each vcall uses.  {!apply} takes the
     result and a packet's {!sizes} and evaluates only the size terms:
     vcall cost functions, state access counts, the packet buffer's cache
@@ -53,11 +58,65 @@ type placement = {
 
 type ctx = { place : placement; sizes : sizes }
 
-val mem_access_cycles :
-  placement -> mode:[ `Read | `Write | `Atomic ] -> mem_id:int -> footprint:int ->
-  float option
-(** Region base latency (cache-adjusted when the footprint fits) plus the
-    NUMA weight of the unit's bus; [None] when the unit cannot reach the
+(** {2 The price table}
+
+    One function turns an instruction on a unit into a priced step.
+    {!compile} prices each access on the placement's one region;
+    [Clara_analysis.Cost_range] prices it as a hull over candidate
+    regions.  The table is deliberately not a functor over a numeric
+    domain: without flambda, a functor or a closure per step on the
+    per-packet path would box floats, so {!apply} stays monomorphic
+    float code over the steps {!compile} resolved from it. *)
+
+type mode = [ `Read | `Write | `Atomic ]
+
+(** A memory region as one unit sees it in one access mode: everything
+    of an access's price but the footprint. *)
+type region = {
+  flat : float;    (** Uncached (miss) latency. *)
+  weight : float;  (** NUMA weight of the unit's access link. *)
+  cache : (float * float) option;
+      (** (hit cycles, cache bytes), for cached reads and writes only. *)
+  locality : float;  (** {!cache_locality} when the region was resolved. *)
+}
+
+val resolve_region :
+  Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> mode:mode -> mem_id:int -> region option
+(** [None] when the unit cannot reach the region. *)
+
+val local_region : Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> int option
+(** Where the unit's register and stack traffic goes: its fastest
+    reachable [Local] region, else its fastest reachable region. *)
+
+(** One instruction's price on one unit, with each memory access left
+    as the caller priced it (['m]). *)
+type 'm price =
+  | Op of float  (** A core op. *)
+  | Access of { op : float; loc : Clara_cir.Ir.loc; mem : 'm }
+      (** A load, store or atomic: its op cost plus one access of [loc]. *)
+  | Core_vcall of { fn : Clara_lnic.Cost_fn.t; size : Clara_cir.Ir.size_expr }
+  | State_vcall of {
+      fn : Clara_lnic.Cost_fn.t;
+      size : Clara_cir.Ir.size_expr;
+      state : string;
+      reads : Clara_cir.Ir.size_expr;
+      writes : Clara_cir.Ir.size_expr;
+      read : 'm;   (** One read of the state. *)
+      write : 'm;  (** One write of the state. *)
+    }  (** A stateful vcall on a core: base cost plus its state accesses. *)
+  | Accel_vcall of { fn : Clara_lnic.Cost_fn.t; size : Clara_cir.Ir.size_expr }
+      (** Accelerators keep operands in their own SRAM: no memory charge. *)
+
+val price :
+  Clara_lnic.Graph.t ->
+  Clara_lnic.Unit_.t ->
+  access:(mode:mode -> Clara_cir.Ir.loc -> 'm option) ->
+  Clara_cir.Ir.instr ->
+  'm price option
+(** [price lnic u ~access i]: the price of [i] on [u], with each memory
+    access of [loc] priced by [access ~mode loc] ([None] when [u] cannot
+    reach it).  [None] when [u] cannot execute [i]: general compute on
+    an accelerator, a vcall the unit does not implement, an unreachable
     region. *)
 
 type breakdown = {
@@ -88,11 +147,6 @@ val apply : compiled -> sizes -> breakdown
     {!node_breakdown} on a [ctx] with the same placement and sizes. *)
 
 (** {2 One-shot pricing} — {!compile} then {!apply}. *)
-
-val instr_cycles : ctx -> Clara_cir.Ir.instr -> float option
-(** [None] when the unit cannot execute the instruction (e.g. general
-    compute on an accelerator, or a vcall the accelerator does not
-    implement). *)
 
 val node_breakdown : ctx -> Node.t -> breakdown option
 (** Sum over the node's instructions, multiplied by its loop trip; [None]

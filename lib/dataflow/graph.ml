@@ -35,6 +35,14 @@ let topo_order t =
   if !count <> n then failwith "Dataflow.Graph.topo_order: graph has a cycle";
   List.rev !out
 
+let block_nodes t =
+  let blocks = Array.make (Array.length t.cir.Clara_cir.Ir.blocks) [] in
+  for i = Array.length t.nodes - 1 downto 0 do
+    let n = t.nodes.(i) in
+    blocks.(n.Node.block) <- n :: blocks.(n.Node.block)
+  done;
+  blocks
+
 let vcall_nodes t = Array.to_list t.nodes |> List.filter Node.is_vcall
 let compute_nodes t = Array.to_list t.nodes |> List.filter (fun n -> not (Node.is_vcall n))
 

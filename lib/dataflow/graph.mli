@@ -22,6 +22,9 @@ val topo_order : t -> int list
 (** Topological order over the forward edges; entry first.
     @raise Failure if the graph is not a DAG (a Build bug). *)
 
+val block_nodes : t -> Node.t list array
+(** By CIR block id: the block's nodes in id order. *)
+
 val vcall_nodes : t -> Node.t list
 val compute_nodes : t -> Node.t list
 

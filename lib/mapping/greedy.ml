@@ -54,9 +54,10 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
   | e :: _ -> Error e
   | [] -> (
       let state_region s =
-        match List.assoc s !state_place with
-        | Mapping.In_memory m -> m
-        | Mapping.In_accel _ -> assert false
+        match List.assoc_opt s !state_place with
+        | Some (Mapping.In_memory m) -> m
+        | Some (Mapping.In_accel _) -> assert false
+        | None -> raise (Ir.Unknown_state s)
       in
       let classes =
         L.Graph.placement_classes lnic

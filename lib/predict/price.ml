@@ -54,12 +54,6 @@ let make lnic (df : D.Graph.t) units ~state_region =
             if units.(i).L.Unit_.id = core.L.Unit_.id then mapped.(i) else price core n)
           nodes
   in
-  let blocks = Array.make (Array.length df.D.Graph.cir.Ir.blocks) [] in
-  for i = Array.length nodes - 1 downto 0 do
-    let n = nodes.(i) in
-    let b = n.D.Node.block in
-    if b >= 0 && b < Array.length blocks then blocks.(b) <- n :: blocks.(b)
-  done;
   {
     ctm_threshold = threshold;
     units;
@@ -67,7 +61,7 @@ let make lnic (df : D.Graph.t) units ~state_region =
     replay;
     state_entries =
       state_table df (fun o -> float_of_int o.Ir.st_entries) ~default:0.;
-    block_nodes = blocks;
+    block_nodes = D.Graph.block_nodes df;
   }
 
 let external_mem lnic =

@@ -661,32 +661,43 @@ let test_interval_ops () =
 let nat_ir () =
   fst (Pat.run (Low.lower_source (Clara_nfs.Nat.source ())))
 
+(* The example NFs on every target. *)
 let test_bounds_finite_example () =
   let module B = A.Bounds in
   let module I = A.Interval in
-  let b = B.analyze ~lnic:L.Netronome.default (nat_ir ()) in
-  check "no unbounded loops" true (b.B.bt_unbounded_loops = []);
-  check "budget not exhausted" false b.B.bt_exhausted;
-  check_int "five type rows" 5 (List.length b.B.bt_per_type);
   List.iter
-    (fun (row : B.type_bounds) ->
-      check ("finite total for " ^ row.B.tb_type) true (I.is_finite row.B.tb_total);
-      check ("positive lower for " ^ row.B.tb_type) true (I.lo row.B.tb_total > 0.);
-      check ("ordered endpoints for " ^ row.B.tb_type) true
-        (I.lo row.B.tb_total <= I.hi row.B.tb_total);
-      (* Axis means tile the service interval. *)
-      check ("service within total for " ^ row.B.tb_type) true
-        (I.lo row.B.tb_service >= I.lo row.B.tb_total -. 1e-9
-        && I.hi row.B.tb_service <= I.hi row.B.tb_total +. 1e-9))
-    b.B.bt_per_type;
-  (* A fixed-protocol class can never be looser than the union class. *)
-  let all = Option.get (B.find b "all") and udp = Option.get (B.find b "udp") in
-  check "udp upper <= all upper" true
-    (I.hi udp.B.tb_total <= I.hi all.B.tb_total +. 1e-9);
-  check "no CLARA401 on nat" true
-    (List.for_all
-       (fun d -> d.A.Diag.code <> "CLARA401")
-       (B.lint ~lnic:L.Netronome.default (nat_ir ())))
+    (fun (nf, source) ->
+      let ir = fst (Pat.run (Low.lower_source source)) in
+      List.iter
+        (fun nic ->
+          let lnic = Option.get (L.Targets.find nic) in
+          let cell = nf ^ "@" ^ nic ^ ": " in
+          let b = B.analyze ~lnic ir in
+          check (cell ^ "no unbounded loops") true (b.B.bt_unbounded_loops = []);
+          check (cell ^ "budget not exhausted") false b.B.bt_exhausted;
+          check_int (cell ^ "five type rows") 5 (List.length b.B.bt_per_type);
+          List.iter
+            (fun (row : B.type_bounds) ->
+              let ty = cell ^ row.B.tb_type in
+              check ("finite total for " ^ ty) true (I.is_finite row.B.tb_total);
+              check ("positive lower for " ^ ty) true (I.lo row.B.tb_total > 0.);
+              check ("ordered endpoints for " ^ ty) true
+                (I.lo row.B.tb_total <= I.hi row.B.tb_total);
+              (* Axis means tile the service interval. *)
+              check ("service within total for " ^ ty) true
+                (I.lo row.B.tb_service >= I.lo row.B.tb_total -. 1e-9
+                && I.hi row.B.tb_service <= I.hi row.B.tb_total +. 1e-9))
+            b.B.bt_per_type;
+          (* A fixed-protocol class can never be looser than the union class. *)
+          let all = Option.get (B.find b "all") and udp = Option.get (B.find b "udp") in
+          check (cell ^ "udp upper <= all upper") true
+            (I.hi udp.B.tb_total <= I.hi all.B.tb_total +. 1e-9);
+          check (cell ^ "no CLARA401") true
+            (List.for_all (fun d -> d.A.Diag.code <> "CLARA401") (B.lint ~lnic ir)))
+        [ "netronome"; "soc"; "bluefield" ])
+    (List.map
+       (fun nf -> (nf, (Option.get (Clara_nfs.Corpus.find nf)).Clara_nfs.Corpus.source))
+       [ "dpi"; "firewall"; "lpm"; "nat"; "syn-proxy" ])
 
 let test_bounds_unbounded_loop () =
   let module B = A.Bounds in

@@ -661,6 +661,98 @@ let prop_staged_prices_identical =
             [ uniform; straddle ])
         (Lazy.force corpus_cells))
 
+(* ---- Unit-level soundness: point prices lie in their ranges ------- *)
+
+module Cr = Clara_analysis.Cost_range
+module Itv = Clara_analysis.Interval
+
+(* Per cell: the bounds envelope, and per packet type its sizes and
+   every node's range (loop trip included). *)
+let envelopes =
+  lazy
+    (List.map
+       (fun (name, lnic, (df : D.Graph.t), _, _) ->
+         let p = df.D.Graph.cir in
+         let env = Cr.create lnic p in
+         ( name, lnic, df, env,
+           List.map
+             (fun ptype ->
+               let sizes = Clara_analysis.Bounds.sizes_for p ~ptype in
+               (ptype, sizes, Array.map (Cr.node env sizes) df.D.Graph.nodes))
+             [ "all"; "tcp"; "tcp-syn"; "udp"; "other" ] ))
+       (Lazy.force corpus_cells))
+
+(* A point placement and packet drawn from the envelope itself (every
+   candidate unit, a candidate region per state, a candidate packet
+   region, a payload and a header size inside the type's ranges):
+   Cost's breakdown must lie in the node's range on every axis, with no
+   epsilon, since IEEE rounding is monotone. *)
+let prop_point_in_range =
+  QCheck.Test.make ~name:"Cost.node_breakdown lies in Cost_range.node" ~count:100
+    QCheck.(quad (int_range 0 4) (int_range 0 1500) (int_range 0 2) int)
+    (fun (ti, payload, li, seed) ->
+      let saved = !D.Cost.cache_locality in
+      D.Cost.cache_locality := [| 0.; 0.85; 1. |].(li);
+      Fun.protect ~finally:(fun () -> D.Cost.cache_locality := saved) @@ fun () ->
+      let rng = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      List.for_all
+        (fun (name, lnic, (df : D.Graph.t), (env : Cr.t), per_type) ->
+          let ptype, (sizes : Cr.sizes), ranges = List.nth per_type ti in
+          let header =
+            let lo = int_of_float (Itv.lo sizes.Cr.header_bytes) in
+            lo + Random.State.int rng (int_of_float (Itv.hi sizes.Cr.header_bytes) - lo + 1)
+          in
+          let regions = Hashtbl.create 8 in
+          let state_region s =
+            match Hashtbl.find_opt regions s with
+            | Some m -> m
+            | None ->
+                let m = pick (env.Cr.state_regions s) in
+                Hashtbl.add regions s m;
+                m
+          in
+          let packet_region = pick env.Cr.packet_regions in
+          let point =
+            { D.Cost.payload_bytes = float_of_int payload;
+              packet_bytes = float_of_int (payload + header);
+              header_bytes = float_of_int header;
+              state_entries = (fun s -> Itv.lo (sizes.Cr.state_entries s));
+              opaque_trip = 1. }
+          in
+          List.for_all
+            (fun (u : L.Unit_.t) ->
+              let place =
+                { D.Cost.lnic; exec_unit = u; state_region;
+                  state_footprint = env.Cr.state_footprint; packet_region }
+              in
+              Array.for_all
+                (fun (n : D.Node.t) ->
+                  match (D.Cost.node_breakdown { D.Cost.place; sizes = point } n, ranges.(n.D.Node.id)) with
+                  | None, _ -> true
+                  | Some b, Some r
+                    when Itv.contains r.Cr.compute b.D.Cost.b_compute
+                         && Itv.contains r.Cr.mem b.D.Cost.b_mem
+                         && Itv.contains r.Cr.accel b.D.Cost.b_accel ->
+                      true
+                  | Some b, r ->
+                      let show =
+                        Option.fold ~none:"none" ~some:(fun v ->
+                            Printf.sprintf "[%.17g, %.17g]" (Itv.lo v) (Itv.hi v))
+                      in
+                      QCheck.Test.fail_reportf
+                        "%s %s: n%d on %s at %d B payload: compute %.17g in %s, mem %.17g in %s, \
+                         accel %.17g in %s"
+                        name ptype n.D.Node.id u.L.Unit_.name payload b.D.Cost.b_compute
+                        (show (Option.map (fun r -> r.Cr.compute) r))
+                        b.D.Cost.b_mem
+                        (show (Option.map (fun r -> r.Cr.mem) r))
+                        b.D.Cost.b_accel
+                        (show (Option.map (fun r -> r.Cr.accel) r)))
+                df.D.Graph.nodes)
+            env.Cr.units)
+        (Lazy.force envelopes))
+
 let nat_on_netronome () =
   let a = analyze (Clara_nfs.Nat.source ()) (profile ()) in
   (a.Clara.df, a.Clara.mapping)
@@ -777,6 +869,7 @@ let suite =
       test_cells_price_packet_accesses;
     QCheck_alcotest.to_alcotest prop_staged_prices_identical;
     QCheck_alcotest.to_alcotest prop_summarize_nearest_rank;
+    QCheck_alcotest.to_alcotest prop_point_in_range;
     Alcotest.test_case "create rejects unexecutable nodes" `Quick
       test_create_rejects_unexecutable;
     Alcotest.test_case "walk limit is typed" `Quick test_walk_limit;
