@@ -788,8 +788,31 @@ let bechamel () =
   let nat_src = Clara_nfs.Nat.source () in
   let analysis = analyze_exn nat_src prof in
   let trace = W.Trace.synthesize ~seed:3L prof in
+  (* The solver's layers on the real nat@netronome mapping model. *)
+  let nat_model =
+    match
+      Clara_mapping.Encode.ilp_model lnic
+        (Clara_dataflow.Build.of_source nat_src)
+        ~sizes:(Clara.sizes_of_profile prof)
+        ~prob:(Clara.prob_of_profile prof)
+    with
+    | Ok m -> m
+    | Error e -> failwith ("bechamel: nat model: " ^ e)
+  in
+  let nat_bounds =
+    match Clara_ilp.Presolve.run nat_model with
+    | Clara_ilp.Presolve.Tightened b -> b
+    | Clara_ilp.Presolve.Proven_infeasible -> failwith "bechamel: nat model infeasible"
+  in
+  let qa = Clara_ilp.Rat.of_ints 7 12 and qb = Clara_ilp.Rat.of_ints (-5) 18 in
   let tests =
-    [ Test.make ~name:"lower+coarsen nat" (Staged.stage (fun () ->
+    [ Test.make ~name:"rat add/mul (small)" (Staged.stage (fun () ->
+          ignore (Clara_ilp.Rat.mul (Clara_ilp.Rat.add qa qb) qb)));
+      Test.make ~name:"presolve nat@netronome" (Staged.stage (fun () ->
+          ignore (Clara_ilp.Presolve.run nat_model)));
+      Test.make ~name:"simplex root nat@netronome" (Staged.stage (fun () ->
+          ignore (Clara_ilp.Lp.root ~bounds:nat_bounds nat_model)));
+      Test.make ~name:"lower+coarsen nat" (Staged.stage (fun () ->
           ignore (Clara_dataflow.Build.of_source nat_src)));
       Test.make ~name:"ilp map nat" (Staged.stage (fun () ->
           ignore

@@ -1,48 +1,79 @@
-(* Arbitrary-precision integers: sign + little-endian magnitude, base 2^30.
-   Base 2^30 keeps digit products within the 63-bit native range
-   (2^30 * 2^30 = 2^60, leaving headroom for carry accumulation). *)
+(* Arbitrary-precision integers with a native-int fast path.
+
+   A value that fits in a native [int] is always [Small]; only values
+   outside [[min_int, max_int]] carry limbs.  The representation is
+   therefore canonical (structural equality is value equality), and the
+   common case -- ILP coefficients, bounds and pivots -- runs on machine
+   integers.  Every [Small] operation is overflow-checked; an overflow
+   redoes the operation on limbs, so results are exact either way.
+
+   Limbs: sign + little-endian magnitude, base 2^30.  Base 2^30 keeps
+   digit products within the 63-bit native range (2^30 * 2^30 = 2^60,
+   leaving headroom for carry accumulation). *)
 
 let base_bits = 30
 let base = 1 lsl base_bits
 let base_mask = base - 1
 
-type t = {
-  sign : int; (* -1, 0, 1; sign = 0 iff mag = [||] *)
-  mag : int array; (* little-endian digits in [0, base), no leading zeros *)
-}
+type t =
+  | Small of int
+  | Big of { sign : int; mag : int array }
+      (* sign is -1 or 1; mag has no leading zero digits and its value
+         lies outside the native range. *)
 
-let zero = { sign = 0; mag = [||] }
+let zero = Small 0
+let one = Small 1
+let minus_one = Small (-1)
+let of_int n = Small n
 
-let normalize sign mag =
-  (* Strip leading (most significant) zero digits; canonicalize zero. *)
+(* ---- limb view ---------------------------------------------------- *)
+
+(* |min_int| = 2^62 = 4 * 2^60: digit 2 holds 4. *)
+let min_int_mag = [| 0; 0; 4 |]
+
+let small_limbs n =
+  if n = 0 then (0, [||])
+  else if n = min_int then (-1, Array.copy min_int_mag)
+  else begin
+    let sign = if n < 0 then -1 else 1 in
+    let rec digits acc n =
+      if n = 0 then Array.of_list (List.rev acc)
+      else digits ((n land base_mask) :: acc) (n lsr base_bits)
+    in
+    (sign, digits [] (Stdlib.abs n))
+  end
+
+let limbs = function
+  | Small n -> small_limbs n
+  | Big { sign; mag } -> (sign, mag)
+
+(* Canonical value of a signed magnitude: strip leading zero digits and
+   go back to [Small] whenever the value fits. *)
+let of_limbs sign mag =
   let n = ref (Array.length mag) in
   while !n > 0 && mag.(!n - 1) = 0 do
     decr n
   done;
-  if !n = 0 then zero
-  else if !n = Array.length mag then { sign; mag }
-  else { sign; mag = Array.sub mag 0 !n }
-
-let of_int n =
+  let n = !n in
+  let fits =
+    n <= 2
+    || n = 3
+       && (mag.(2) < 4
+          || (sign < 0 && mag.(2) = 4 && mag.(1) = 0 && mag.(0) = 0))
+  in
   if n = 0 then zero
-  else if n = min_int then
-    (* -2^62 on 64-bit platforms: 2^62 = (1 lsl 2) in digit 2's position
-       plus zeros, since 62 = 2*30 + 2. *)
-    { sign = -1; mag = [| 0; 0; 4 |] }
-  else begin
-    let sign = if n < 0 then -1 else 1 in
-    let n = Stdlib.abs n in
-    let rec digits acc n =
-      if n = 0 then List.rev acc
-      else digits ((n land base_mask) :: acc) (n lsr base_bits)
-    in
-    normalize sign (Array.of_list (digits [] n))
+  else if fits then begin
+    if n = 3 && mag.(2) = 4 then Small min_int
+    else begin
+      let v = ref 0 in
+      for i = n - 1 downto 0 do
+        v := (!v lsl base_bits) lor mag.(i)
+      done;
+      Small (if sign < 0 then - !v else !v)
+    end
   end
-
-let one = of_int 1
-let minus_one = of_int (-1)
-let sign t = t.sign
-let is_zero t = t.sign = 0
+  else if n = Array.length mag then Big { sign; mag }
+  else Big { sign; mag = Array.sub mag 0 n }
 
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -52,15 +83,33 @@ let compare_mag a b =
     go (la - 1)
   end
 
-let compare a b =
-  if a.sign <> b.sign then Stdlib.compare a.sign b.sign
-  else if a.sign >= 0 then compare_mag a.mag b.mag
-  else compare_mag b.mag a.mag
+(* ---- overflow-checked native arithmetic ---------------------------- *)
 
-let equal a b = compare a b = 0
+exception Overflow
 
-let hash t =
-  Array.fold_left (fun acc d -> (acc * 31 + d) land max_int) (t.sign + 1) t.mag
+let[@inline] add_ovf a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then raise_notrace Overflow else s
+
+let[@inline] sub_ovf a b =
+  let s = a - b in
+  if (a lxor b) land (a lxor s) < 0 then raise_notrace Overflow else s
+
+(* Operands in [-2^30, 2^30) multiply without overflow; anything larger
+   is checked by dividing back. *)
+let[@inline] mul_ovf a b =
+  if ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 = 0 then a * b
+  else if a = 0 || b = 0 then 0
+  else begin
+    let p = a * b in
+    if p / b <> a || (a = min_int && b = -1) then raise_notrace Overflow else p
+  end
+
+(* Every remainder is smaller than the first nonzero divisor, so only
+   a gcd of 2^62 (both operands in {0, min_int}) comes out wrong. *)
+let rec int_gcd a b = if b = 0 then Stdlib.abs a else int_gcd b (a mod b)
+
+(* ---- limb arithmetic (the overflow path) --------------------------- *)
 
 let add_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -93,22 +142,6 @@ let sub_mag a b =
   assert (!borrow = 0);
   r
 
-let neg t = if t.sign = 0 then t else { t with sign = -t.sign }
-let abs t = if t.sign < 0 then neg t else t
-
-let rec add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  else if a.sign = b.sign then normalize a.sign (add_mag a.mag b.mag)
-  else begin
-    let c = compare_mag a.mag b.mag in
-    if c = 0 then zero
-    else if c > 0 then normalize a.sign (sub_mag a.mag b.mag)
-    else normalize b.sign (sub_mag b.mag a.mag)
-  end
-
-and sub a b = add a (neg b)
-
 let mul_mag a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
@@ -132,12 +165,6 @@ let mul_mag a b =
     done;
     r
   end
-
-let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
-  else normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
-
-let mul_int a n = mul a (of_int n)
 
 (* Divide magnitude by a single digit (0 < d < base); returns quotient
    magnitude and remainder int. *)
@@ -270,55 +297,126 @@ let divmod_mag a b =
     (q, r)
   end
 
-let divmod a b =
-  if b.sign = 0 then raise Division_by_zero;
-  if a.sign = 0 then (zero, zero)
+let big_add a b =
+  let sa, ma = limbs a and sb, mb = limbs b in
+  if sa = 0 then b
+  else if sb = 0 then a
+  else if sa = sb then of_limbs sa (add_mag ma mb)
   else begin
-    let qm, rm = divmod_mag a.mag b.mag in
-    let q = normalize (a.sign * b.sign) qm in
-    let r = normalize a.sign rm in
-    (q, r)
+    let c = compare_mag ma mb in
+    if c = 0 then zero
+    else if c > 0 then of_limbs sa (sub_mag ma mb)
+    else of_limbs sb (sub_mag mb ma)
   end
+
+let big_neg = function
+  | Small n -> if n = min_int then Big { sign = 1; mag = Array.copy min_int_mag } else Small (-n)
+  | Big { sign; mag } -> of_limbs (-sign) mag
+
+let big_mul a b =
+  let sa, ma = limbs a and sb, mb = limbs b in
+  if sa = 0 || sb = 0 then zero else of_limbs (sa * sb) (mul_mag ma mb)
+
+let big_divmod a b =
+  let sa, ma = limbs a and sb, mb = limbs b in
+  if sb = 0 then raise Division_by_zero;
+  if sa = 0 then (zero, zero)
+  else begin
+    let qm, rm = divmod_mag ma mb in
+    (of_limbs (sa * sb) qm, of_limbs sa rm)
+  end
+
+(* ---- public operations --------------------------------------------- *)
+
+let sign = function
+  | Small n -> Stdlib.compare n 0
+  | Big { sign; _ } -> sign
+
+let is_zero = function Small 0 -> true | Small _ | Big _ -> false
+
+let compare a b =
+  match (a, b) with
+  | Small x, Small y -> Int.compare x y
+  (* A [Big] lies outside the native range, beyond every [Small]. *)
+  | Small _, Big { sign; _ } -> -sign
+  | Big { sign; _ }, Small _ -> sign
+  | Big { sign = sa; mag = ma }, Big { sign = sb; mag = mb } ->
+      if sa <> sb then Int.compare sa sb
+      else if sa > 0 then compare_mag ma mb
+      else compare_mag mb ma
+
+let equal a b =
+  match (a, b) with
+  | Small x, Small y -> x = y
+  | Small _, Big _ | Big _, Small _ -> false
+  | Big _, Big _ -> compare a b = 0
+
+let hash = function
+  | Small n -> n land max_int
+  | Big { sign; mag } ->
+      Array.fold_left (fun acc d -> ((acc * 31) + d) land max_int) (sign + 1) mag
+
+let neg = function
+  | Small n when n <> min_int -> Small (-n)
+  | t -> big_neg t
+
+let abs t = if sign t < 0 then neg t else t
+
+let add a b =
+  match (a, b) with
+  | Small x, Small y -> ( try Small (add_ovf x y) with Overflow -> big_add a b)
+  | _ -> big_add a b
+
+let sub a b =
+  match (a, b) with
+  | Small x, Small y -> ( try Small (sub_ovf x y) with Overflow -> big_add a (neg b))
+  | _ -> big_add a (neg b)
+
+let mul a b =
+  match (a, b) with
+  | Small x, Small y -> ( try Small (mul_ovf x y) with Overflow -> big_mul a b)
+  | _ -> big_mul a b
+
+let mul_int a n = mul a (of_int n)
+
+let divmod a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y when not (x = min_int && y = -1) -> (Small (x / y), Small (x mod y))
+  | _ -> big_divmod a b
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let rec gcd a b =
-  let a = abs a and b = abs b in
-  if is_zero b then a else gcd b (rem a b)
+  match (a, b) with
+  | Small x, Small y when x <> min_int && y <> min_int -> Small (int_gcd x y)
+  | _ ->
+      let a = abs a and b = abs b in
+      if is_zero b then a else gcd b (rem a b)
 
-let max_int_big = of_int max_int
-let min_int_big = of_int min_int
+let to_int_opt = function Small n -> Some n | Big _ -> None
 
-let to_int_opt t =
-  if compare t min_int_big >= 0 && compare t max_int_big <= 0 then begin
-    let v = Array.fold_right (fun d acc -> (acc lsl base_bits) lor d) t.mag 0 in
-    Some (if t.sign < 0 then -v else v)
-  end
-  else None
-
-let to_int_exn t =
-  match to_int_opt t with
-  | Some n -> n
-  | None -> failwith "Bigint.to_int_exn: value does not fit in int"
+let to_int_exn = function
+  | Small n -> n
+  | Big _ -> failwith "Bigint.to_int_exn: value does not fit in int"
 
 let ten = of_int 10
 
-let to_string t =
-  if t.sign = 0 then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let rec go x =
-      if is_zero x then ()
-      else begin
-        let q, r = divmod x ten in
-        go q;
-        Buffer.add_char buf (Char.chr (Char.code '0' + to_int_exn r))
-      end
-    in
-    go (abs t);
-    (if t.sign < 0 then "-" else "") ^ Buffer.contents buf
-  end
+let to_string = function
+  | Small n -> string_of_int n
+  | Big { sign; _ } as t ->
+      let buf = Buffer.create 32 in
+      let rec go x =
+        match x with
+        | Small n -> Buffer.add_string buf (string_of_int n)
+        | Big _ ->
+            let q, r = divmod x ten in
+            go q;
+            Buffer.add_char buf (Char.chr (Char.code '0' + to_int_exn r))
+      in
+      go (abs t);
+      (if sign < 0 then "-" else "") ^ Buffer.contents buf
 
 let of_string s =
   let len = String.length s in

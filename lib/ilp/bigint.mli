@@ -3,8 +3,15 @@
     The exact rational arithmetic underlying the ILP solver needs integers
     that cannot overflow; OCaml's native [int] is not enough once simplex
     pivots start multiplying coefficients.  This module is a small,
-    dependency-free bignum: little-endian magnitude in base 2^30 plus a
-    sign. *)
+    dependency-free bignum with a native-int fast path.
+
+    {b Representation invariant.}  A value in [[min_int, max_int]] is
+    always held as a native [int]; only a value outside that range is
+    held as a sign plus a little-endian magnitude in base 2^30 with no
+    leading zero digit.  The form is canonical: equal values are
+    structurally equal.  Operations on native values are
+    overflow-checked; one that overflows is redone on limbs, so every
+    result is exact and canonical whichever path computed it. *)
 
 type t
 
@@ -53,3 +60,18 @@ val gcd : t -> t -> t
 
 val mul_int : t -> int -> t
 val pp : Format.formatter -> t -> unit
+
+(** {2 Overflow-checked native arithmetic}
+
+    The checks behind the fast path, shared with {!Rat}. *)
+
+exception Overflow
+
+val add_ovf : int -> int -> int
+(** [add_ovf a b] is [a + b]. @raise Overflow when it does not fit. *)
+
+val mul_ovf : int -> int -> int
+
+val int_gcd : int -> int -> int
+(** Non-negative gcd of two native ints.  Exact unless both operands
+    lie in [{0, min_int}] (the gcd 2^62 does not fit). *)

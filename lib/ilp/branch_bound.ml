@@ -15,6 +15,11 @@ let c_best_bound =
 let c_cutoff =
   Clara_obs.Registry.counter Clara_obs.Registry.default "ilp.bb.cutoff_prunes"
 
+(* Sub-spans of the caller's active span: bound propagation, and the
+   simplex (root solve plus every warm restart). *)
+let presolve_span f = Clara_obs.Registry.span Clara_obs.Registry.default "presolve" f
+let lp_span f = Clara_obs.Registry.span Clara_obs.Registry.default "lp" f
+
 type outcome = {
   status : status;
   objective : Rat.t;
@@ -128,12 +133,17 @@ let solve ?(node_limit = 200_000) ?initial_bound model =
               let bound = Some (round_bound objective) in
               stack := (lp_node, near, bound) :: (lp_node, far, bound) :: !stack)
   in
-  let root_presolve = Presolve.run model in
+  (* Rows are read from the model once; every node propagates on them. *)
+  let rows, root_presolve =
+    presolve_span (fun () ->
+        let rows = Presolve.compile model in
+        (rows, Presolve.run_compiled rows))
+  in
   (match root_presolve with
   | Presolve.Proven_infeasible -> ()
   | Presolve.Tightened base_bounds ->
       count_node ();
-      let root_node, root_res = Lp.root ~bounds:base_bounds model in
+      let root_node, root_res = lp_span (fun () -> Lp.root ~bounds:base_bounds model) in
       process root_node root_res;
       let rec drain () =
         match !stack with
@@ -166,11 +176,16 @@ let solve ?(node_limit = 200_000) ?initial_bound model =
                 (* Propagate the branched bound through the rows before
                    solving; a few passes catch the common implied-bound
                    chains without fixpoint cost. *)
-                match Presolve.run ~max_passes:3 ~bounds model with
+                match
+                  presolve_span (fun () ->
+                      Presolve.run_compiled ~max_passes:3 ~bounds rows)
+                with
                 | Presolve.Proven_infeasible ->
                     Clara_obs.Metrics.incr c_infeasible
                 | Presolve.Tightened bounds' ->
-                    let node, res = Lp.rebound parent ~bounds:bounds' in
+                    let node, res =
+                      lp_span (fun () -> Lp.rebound parent ~bounds:bounds')
+                    in
                     process node res
               end;
               drain ()

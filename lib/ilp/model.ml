@@ -6,16 +6,27 @@ type var = int
 type vinfo = { vname : string; lb : Rat.t; ub : Rat.t option; vtype : vtype }
 type cons = { cname : string; expr : Lin_expr.t; csense : sense; rhs : Rat.t }
 
+(* Growable arrays: [add_var] appends in amortized O(1) and every
+   per-variable read is a direct index. *)
 type t = {
-  mutable vars : vinfo list; (* reversed *)
+  mutable vars : vinfo array; (* first [nvars] slots used *)
   mutable nvars : int;
-  mutable conss : cons list; (* reversed *)
+  mutable conss : cons array; (* first [nconss] slots used *)
   mutable nconss : int;
   mutable obj : direction * Lin_expr.t;
 }
 
 let create () =
-  { vars = []; nvars = 0; conss = []; nconss = 0; obj = (Minimize, Lin_expr.zero) }
+  { vars = [||]; nvars = 0; conss = [||]; nconss = 0; obj = (Minimize, Lin_expr.zero) }
+
+(* [arr] with room for one more element past [n], filled with [x]. *)
+let grow arr n x =
+  if n < Array.length arr then arr
+  else begin
+    let bigger = Array.make (max 8 (2 * n)) x in
+    Array.blit arr 0 bigger 0 n;
+    bigger
+  end
 
 let add_var ?name ?(lb = Rat.zero) ?ub m vtype =
   let id = m.nvars in
@@ -23,7 +34,9 @@ let add_var ?name ?(lb = Rat.zero) ?ub m vtype =
   let lb, ub =
     match vtype with Binary -> (Rat.zero, Some Rat.one) | Continuous | Integer -> (lb, ub)
   in
-  m.vars <- { vname; lb; ub; vtype } :: m.vars;
+  let info = { vname; lb; ub; vtype } in
+  m.vars <- grow m.vars id info;
+  m.vars.(id) <- info;
   m.nvars <- id + 1;
   id
 
@@ -36,18 +49,20 @@ let add_constraint ?name m expr csense rhs =
   let k = Lin_expr.constant expr in
   let expr = Lin_expr.sub expr (Lin_expr.const k) in
   let rhs = Rat.sub rhs k in
-  m.conss <- { cname; expr; csense; rhs } :: m.conss;
+  let c = { cname; expr; csense; rhs } in
+  m.conss <- grow m.conss m.nconss c;
+  m.conss.(m.nconss) <- c;
   m.nconss <- m.nconss + 1
 
 let set_objective m dir e = m.obj <- (dir, e)
 let num_vars m = m.nvars
 let num_constraints m = m.nconss
 
-let var_array m = Array.of_list (List.rev m.vars)
+let var_array m = Array.sub m.vars 0 m.nvars
 
 let nth_var m v =
   if v < 0 || v >= m.nvars then invalid_arg "Model: bad variable id";
-  List.nth (List.rev m.vars) v
+  m.vars.(v)
 
 let var_name m v = (nth_var m v).vname
 let var_type m v = (nth_var m v).vtype
@@ -58,7 +73,10 @@ let var_bounds m v =
 let objective m = m.obj
 
 let iter_constraints m f =
-  List.iter (fun c -> f ~name:c.cname c.expr c.csense c.rhs) (List.rev m.conss)
+  for i = 0 to m.nconss - 1 do
+    let c = m.conss.(i) in
+    f ~name:c.cname c.expr c.csense c.rhs
+  done
 
 let check m x =
   if Array.length x <> m.nvars then false
@@ -75,14 +93,14 @@ let check m x =
         vars x
     in
     let cons_ok =
-      List.for_all
+      Array.for_all
         (fun c ->
           let lhs = Lin_expr.eval (fun v -> x.(v)) c.expr in
           match c.csense with
           | Le -> Rat.( <= ) lhs c.rhs
           | Ge -> Rat.( >= ) lhs c.rhs
           | Eq -> Rat.( = ) lhs c.rhs)
-        m.conss
+        (Array.sub m.conss 0 m.nconss)
     in
     bounds_ok && cons_ok
   end

@@ -5,7 +5,11 @@
     implies a bound on this one.  Integer variables additionally get
     their bounds rounded inward.  Iterated to a fixpoint (bounded pass
     count).  Detecting an empty domain proves infeasibility without
-    touching the simplex. *)
+    touching the simplex.
+
+    Each row's minimum activity is computed once per visit, as a finite
+    sum plus a count of unbounded terms; a variable's "rest of the row"
+    is that sum minus its own term, so a pass costs O(nonzeros). *)
 
 type result =
   | Tightened of (Rat.t * Rat.t option) array
@@ -19,3 +23,13 @@ val run :
     variable bounds as the starting point — {!Branch_bound} uses this to
     propagate a freshly branched bound through each node's subproblem.
     The input array is not mutated. *)
+
+type compiled
+(** A model's rows, integrality and bounds, read once. *)
+
+val compile : Model.t -> compiled
+
+val run_compiled :
+  ?max_passes:int -> ?bounds:(Rat.t * Rat.t option) array -> compiled -> result
+(** [run_compiled (compile m)] is [run m]; {!Branch_bound} compiles once
+    per solve and runs every node's propagation on the compiled rows. *)

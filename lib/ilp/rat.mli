@@ -3,7 +3,17 @@
     Values are kept normalized: the denominator is strictly positive and
     numerator/denominator are coprime.  Exactness is what lets the simplex
     pivot without accumulating floating-point error, so the branch-and-bound
-    integrality tests are decisive. *)
+    integrality tests are decisive.
+
+    {b Representation invariant.}  When the normalized numerator and
+    denominator both fit in a native [int], the value is held as two
+    native ints and every operation on such operands runs on machine
+    integers, overflow-checked.  Only a value whose numerator or
+    denominator does not fit is held as {!Bigint}s, and only an
+    operation that overflows falls back to them.  The form is canonical
+    (equal values are structurally equal), so which path produced a
+    value is unobservable: results, comparisons and [to_float] are the
+    same bit for bit. *)
 
 type t
 

@@ -60,30 +60,35 @@ let is_fixed t j =
    basis, not of the current point). *)
 let pivot t r c =
   Clara_obs.Metrics.incr c_pivots;
-  let arc = t.a.(r).(c) in
+  let row = t.a.(r) in
+  let arc = row.(c) in
   assert (not (Rat.is_zero arc));
   if not (Rat.( = ) arc Rat.one) then begin
     let inv = Rat.inv arc in
     for j = 0 to t.ncols - 1 do
-      if not (Rat.is_zero t.a.(r).(j)) then t.a.(r).(j) <- Rat.mul t.a.(r).(j) inv
+      if not (Rat.is_zero row.(j)) then row.(j) <- Rat.mul row.(j) inv
     done
   end;
+  (* Eliminate along the pivot row's nonzeros only: tableau rows are
+     sparse, and a zero entry of row r leaves column j unchanged. *)
+  let nz = ref [] in
+  for j = t.ncols - 1 downto 0 do
+    if not (Rat.is_zero row.(j)) then nz := j :: !nz
+  done;
+  let nz = Array.of_list !nz in
+  let eliminate (target : Rat.t array) f =
+    for k = 0 to Array.length nz - 1 do
+      let j = nz.(k) in
+      target.(j) <- Rat.sub target.(j) (Rat.mul f row.(j))
+    done
+  in
   for i = 0 to t.m - 1 do
-    if i <> r && not (Rat.is_zero t.a.(i).(c)) then begin
+    if i <> r then begin
       let f = t.a.(i).(c) in
-      for j = 0 to t.ncols - 1 do
-        if not (Rat.is_zero t.a.(r).(j)) then
-          t.a.(i).(j) <- Rat.sub t.a.(i).(j) (Rat.mul f t.a.(r).(j))
-      done
+      if not (Rat.is_zero f) then eliminate t.a.(i) f
     end
   done;
-  if not (Rat.is_zero t.z.(c)) then begin
-    let f = t.z.(c) in
-    for j = 0 to t.ncols - 1 do
-      if not (Rat.is_zero t.a.(r).(j)) then
-        t.z.(j) <- Rat.sub t.z.(j) (Rat.mul f t.a.(r).(j))
-    done
-  end;
+  if not (Rat.is_zero t.z.(c)) then eliminate t.z t.z.(c);
   t.basis.(r) <- c;
   t.state.(c) <- Basic r
 

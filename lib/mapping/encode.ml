@@ -62,7 +62,22 @@ let rat_of_weight w =
   let scaled = int_of_float (Float.round (w *. 1000.)) in
   I.Rat.of_ints (max 0 scaled) 1000
 
-let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~prob =
+(* The encoded model plus what decoding its solution needs. *)
+type encoded = {
+  model : M.t;
+  initial_bound : I.Rat.t;
+  nodes : D.Node.t array;
+  nclasses : int;
+  rep : int -> L.Unit_.t;
+  x_vars : (int * int, M.var) Hashtbl.t; (* (node, class) -> choice vars *)
+  y_mem : (string * int, M.var) Hashtbl.t; (* (state, mem id) *)
+  y_acc : (string * L.Unit_.accel_kind, M.var) Hashtbl.t;
+  states : Ir.state_obj list;
+  shared_regions : L.Memory.t list;
+  accel_kinds : L.Unit_.accel_kind list;
+}
+
+let encode ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~prob =
   (* A state the sharing analysis judged racy gets hardened: its raw
      loads/stores are priced as atomics (the cost the program pays once
      the race is fixed), and it never moves into accelerator SRAM. *)
@@ -357,7 +372,7 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
     accel_kinds;
   match !errors with
   | e :: _ -> Error e
-  | [] -> (
+  | [] ->
       M.set_objective model M.Minimize !objective;
       Clara_obs.Metrics.add c_vars (M.num_vars model);
       Clara_obs.Metrics.add c_constraints (M.num_constraints model);
@@ -365,86 +380,111 @@ let map_nf_exn ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~size
       let initial_bound =
         Hashtbl.fold (fun _ w acc -> I.Rat.add w acc) node_worst I.Rat.zero
       in
-      match
-        Clara_obs.Registry.span obs "solve" (fun () ->
-            I.Branch_bound.solve ~node_limit:options.Mapping.node_limit
-              ~initial_bound model)
-      with
-      | { I.Branch_bound.status = I.Branch_bound.Infeasible; _ } ->
-          Error "mapping ILP infeasible (pipeline ordering vs capacities)"
-      | { I.Branch_bound.status = I.Branch_bound.Unbounded; _ } ->
-          Error "mapping ILP unbounded (encoding bug)"
-      | { I.Branch_bound.status = I.Branch_bound.Node_limit; incumbent = false; _ } ->
-          Error "ILP node limit exceeded with no feasible mapping"
-      | { I.Branch_bound.status = I.Branch_bound.Optimal | I.Branch_bound.Node_limit;
-          objective = obj; values; nodes = bb; gap; _ } ->
-          Clara_obs.Metrics.add c_bb_nodes bb;
-          (* Decode. *)
-          let node_unit =
-            Array.map
-              (fun (n : D.Node.t) ->
-                let nid = n.D.Node.id in
-                let found = ref None in
-                for ci = 0 to nclasses - 1 do
-                  List.iter
-                    (fun v ->
-                      if I.Rat.equal values.(v) I.Rat.one then found := Some ci)
-                    (Hashtbl.find_all x_vars (nid, ci))
-                done;
-                match !found with
-                | Some ci -> (rep ci).L.Unit_.id
-                | None -> failwith "Encode: node left unassigned (solver bug)")
-              nodes
-          in
-          let state_place =
-            List.map
-              (fun (st : Ir.state_obj) ->
-                let s = st.Ir.st_name in
-                let mem_hit =
-                  List.find_opt
-                    (fun (m : L.Memory.t) ->
-                      match Hashtbl.find_opt y_mem (s, m.L.Memory.id) with
-                      | Some v -> I.Rat.equal values.(v) I.Rat.one
-                      | None -> false)
-                    shared_regions
-                in
-                match mem_hit with
-                | Some m -> (s, Mapping.In_memory m.L.Memory.id)
-                | None -> (
-                    let acc_hit =
-                      List.find_opt
-                        (fun k ->
-                          match Hashtbl.find_opt y_acc (s, k) with
-                          | Some v -> I.Rat.equal values.(v) I.Rat.one
-                          | None -> false)
-                        accel_kinds
-                    in
-                    match acc_hit with
-                    | Some k -> (
-                        match L.Graph.find_accelerator lnic k with
-                        | Some u -> (s, Mapping.In_accel u.L.Unit_.id)
-                        | None -> failwith "Encode: accel vanished")
-                    | None -> failwith "Encode: state left unplaced (solver bug)"))
-              states
-          in
-          Ok
-            {
-              Mapping.node_unit;
-              state_place;
-              objective_cycles = I.Rat.to_float obj;
-              ilp_nodes = bb;
-              ilp_vars = M.num_vars model;
-              (* A node-limited solve yields a degraded-but-usable
-                 mapping; the gap tells the caller how far off it can
-                 be.  [gap] is [None] on exact solves. *)
-              ilp_gap = Option.map I.Rat.to_float gap;
-            })
+      Ok
+        { model; initial_bound; nodes; nclasses; rep; x_vars; y_mem; y_acc;
+          states; shared_regions; accel_kinds }
 
-let map_nf ?(options = Mapping.default_options) ?dump_lp lnic df ~sizes ~prob =
-  try map_nf_exn ~options ?dump_lp lnic df ~sizes ~prob
+let solve_and_decode ~(options : Mapping.options) lnic e =
+  let { model; initial_bound; nodes; nclasses; rep; x_vars; y_mem; y_acc;
+        states; shared_regions; accel_kinds } =
+    e
+  in
+  match
+    Clara_obs.Registry.span obs "solve" (fun () ->
+        I.Branch_bound.solve ~node_limit:options.Mapping.node_limit
+          ~initial_bound model)
+  with
+  | { I.Branch_bound.status = I.Branch_bound.Infeasible; _ } ->
+      Error "mapping ILP infeasible (pipeline ordering vs capacities)"
+  | { I.Branch_bound.status = I.Branch_bound.Unbounded; _ } ->
+      Error "mapping ILP unbounded (encoding bug)"
+  | { I.Branch_bound.status = I.Branch_bound.Node_limit; incumbent = false; _ } ->
+      Error "ILP node limit exceeded with no feasible mapping"
+  | { I.Branch_bound.status = I.Branch_bound.Optimal | I.Branch_bound.Node_limit;
+      objective = obj; values; nodes = bb; gap; _ } ->
+      Clara_obs.Metrics.add c_bb_nodes bb;
+      Clara_obs.Registry.span obs "decode" @@ fun () ->
+        let node_unit =
+          Array.map
+            (fun (n : D.Node.t) ->
+              let nid = n.D.Node.id in
+              let found = ref None in
+              for ci = 0 to nclasses - 1 do
+                List.iter
+                  (fun v ->
+                    if I.Rat.equal values.(v) I.Rat.one then found := Some ci)
+                  (Hashtbl.find_all x_vars (nid, ci))
+              done;
+              match !found with
+              | Some ci -> (rep ci).L.Unit_.id
+              | None -> failwith "Encode: node left unassigned (solver bug)")
+            nodes
+        in
+        let state_place =
+          List.map
+            (fun (st : Ir.state_obj) ->
+              let s = st.Ir.st_name in
+              let mem_hit =
+                List.find_opt
+                  (fun (m : L.Memory.t) ->
+                    match Hashtbl.find_opt y_mem (s, m.L.Memory.id) with
+                    | Some v -> I.Rat.equal values.(v) I.Rat.one
+                    | None -> false)
+                  shared_regions
+              in
+              match mem_hit with
+              | Some m -> (s, Mapping.In_memory m.L.Memory.id)
+              | None -> (
+                  let acc_hit =
+                    List.find_opt
+                      (fun k ->
+                        match Hashtbl.find_opt y_acc (s, k) with
+                        | Some v -> I.Rat.equal values.(v) I.Rat.one
+                        | None -> false)
+                      accel_kinds
+                  in
+                  match acc_hit with
+                  | Some k -> (
+                      match L.Graph.find_accelerator lnic k with
+                      | Some u -> (s, Mapping.In_accel u.L.Unit_.id)
+                      | None -> failwith "Encode: accel vanished")
+                  | None -> failwith "Encode: state left unplaced (solver bug)"))
+            states
+        in
+        Ok
+          {
+            Mapping.node_unit;
+            state_place;
+            objective_cycles = I.Rat.to_float obj;
+            ilp_nodes = bb;
+            ilp_vars = M.num_vars model;
+            (* A node-limited solve yields a degraded-but-usable
+               mapping; the gap tells the caller how far off it can
+               be.  [gap] is [None] on exact solves. *)
+            ilp_gap = Option.map I.Rat.to_float gap;
+          }
+
+let map_nf_exn ~options ?dump_lp lnic df ~sizes ~prob =
+  match
+    Clara_obs.Registry.span obs "encode" (fun () ->
+        encode ~options ?dump_lp lnic df ~sizes ~prob)
+  with
+  | Error e -> Error e
+  | Ok e -> solve_and_decode ~options lnic e
+
+(* Undeclared state surfaces from deep inside the encoder. *)
+let undeclared f =
+  try f ()
   with Ir.Unknown_state s ->
     Error
       (Printf.sprintf
          "NF references undeclared state '%s' (lint CLARA302 reports this \
           statically)"
          s)
+
+let map_nf ?(options = Mapping.default_options) ?dump_lp lnic df ~sizes ~prob =
+  undeclared (fun () -> map_nf_exn ~options ?dump_lp lnic df ~sizes ~prob)
+
+let ilp_model ?(options = Mapping.default_options) lnic df ~sizes ~prob =
+  undeclared (fun () ->
+      Result.map (fun e -> e.model) (encode ~options lnic df ~sizes ~prob))

@@ -46,3 +46,13 @@ val map_nf :
     region can hold, or contradictory pipeline requirements).  [dump_lp]
     writes the encoded model in CPLEX LP format before solving, for
     inspection or cross-checking with an external solver. *)
+
+val ilp_model :
+  ?options:Mapping.options ->
+  Clara_lnic.Graph.t ->
+  Clara_dataflow.Graph.t ->
+  sizes:Clara_dataflow.Cost.sizes ->
+  prob:(Clara_cir.Ir.guard -> float) ->
+  (Clara_ilp.Model.t, string) result
+(** The model {!map_nf} would solve, unsolved; for benchmarking the
+    solver's layers on real mapping problems. *)

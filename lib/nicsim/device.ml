@@ -18,6 +18,8 @@ type table_state = {
   decl : table_decl;
   contents : Lru.t;  (* inserted keys, capacity-bounded *)
   base_addr : int;
+  mutable counts : int array;
+      (* per-slot [count] increments this run; allocated on first use *)
 }
 
 type sim = {
@@ -197,7 +199,8 @@ let create_sim_shared lnic progs =
       Hashtbl.add tables decl.t_name
         { decl;
           contents = Lru.create ~capacity:(max 1 decl.t_entries);
-          base_addr = !next_base };
+          base_addr = !next_base;
+          counts = [||] };
       (* Slide bases apart so tables never share cache lines. *)
       next_base := !next_base + (decl.t_entries * decl.t_entry_bytes) + 0x10_0000)
     (List.concat_map (fun p -> p.tables) progs);
@@ -377,9 +380,11 @@ let[@inline] note_mem_outcome ctx (outcome : Mem_model.outcome) =
         s.emem_misses_by.(ctx.prog_id) <- s.emem_misses_by.(ctx.prog_id) + 1;
       taint ctx
 
+let slot_of (ts : table_state) key = (key land max_int) mod ts.decl.t_entries
+
 let table_access ctx (ts : table_state) ~mode ~key =
   let region = region_of_placement ts.decl.t_placement in
-  let slot = (key land max_int) mod ts.decl.t_entries in
+  let slot = slot_of ts key in
   let addr = ts.base_addr + (slot * ts.decl.t_entry_bytes) in
   let t0 = ctx.clock in
   let cycles, outcome = Mem_model.access' ctx.sim.memm region ~mode ~addr in
@@ -609,7 +614,12 @@ let count ctx name ~key =
   let t0 = ctx.clock in
   spend ctx (core_vcall_cost ctx P.V_flow_stats 1);
   emit_compute ctx ~label:"flow-stats" ~t0 ~arg:1;
-  table_access ctx ts ~mode:`Atomic ~key
+  table_access ctx ts ~mode:`Atomic ~key;
+  if Array.length ts.counts = 0 then ts.counts <- Array.make ts.decl.t_entries 0;
+  let slot = slot_of ts key in
+  let c = ts.counts.(slot) + 1 in
+  ts.counts.(slot) <- c;
+  c
 
 (* Occupy the earliest-free DMA lane for [cycles]; the packet waits when
    all lanes are busy (rate-dependent queueing). *)

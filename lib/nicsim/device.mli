@@ -120,8 +120,10 @@ val scan_payload : t -> bytes:int -> bool
     ~10% of packets). *)
 
 val meter : t -> unit
-val count : t -> string -> key:int -> unit
-(** Atomic counter increment in the table's region. *)
+val count : t -> string -> key:int -> int
+(** Atomic counter increment in the table's region; returns the key's
+    slot count after the increment.  Counts live in the run's table
+    state, so every run starts from zero. *)
 
 val fp_op : t -> int -> unit
 

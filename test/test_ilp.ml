@@ -183,6 +183,110 @@ let prop_rat_floor_frac =
       && R.(frac a < one))
 
 (* ------------------------------------------------------------------ *)
+(* Native fast path vs limbs                                           *)
+
+(* Operands straddle every representation boundary: ±2^30, ±2^31,
+   ±2^60, ±2^62, ±2^63, max_int and min_int (each nudged by a few), plus
+   arbitrary native ints whose sums and products overflow. *)
+let pow2 k =
+  let rec go acc k = if k = 0 then acc else go (B.mul_int acc 2) (k - 1) in
+  go B.one k
+
+let boundary_gen =
+  let open QCheck.Gen in
+  let anchor =
+    oneof
+      [ oneofl [ B.zero; B.of_int max_int; B.of_int min_int ];
+        map2
+          (fun k neg -> if neg then B.neg (pow2 k) else pow2 k)
+          (oneofl [ 30; 31; 60; 62; 63 ]) bool ]
+  in
+  oneof
+    [ map2 (fun a d -> B.add a (B.of_int d)) anchor (int_range (-3) 3);
+      map B.of_int int;
+      map B.of_int (int_range (-1000) 1000) ]
+
+let big_arb = QCheck.make ~print:B.to_string boundary_gen
+
+(* A factor above 2^62: scaling by it pushes any nonzero operand onto
+   limbs, and dividing it back out recovers the exact result. *)
+let k_big = B.add (pow2 62) (B.of_int 13)
+let up x = B.mul x k_big
+let down x = B.div x k_big
+
+(* Structural equality: the fast and limb results must be the same
+   canonical value, not merely numerically equal. *)
+let same a b = Stdlib.( = ) a b
+
+let prop_bigint_fast_vs_limbs =
+  QCheck.Test.make ~name:"bigint fast path = limb path at boundaries" ~count:2000
+    (QCheck.pair big_arb big_arb)
+    (fun (a, b) ->
+      let ka = up a and kb = up b in
+      let divmod_ok =
+        B.is_zero b
+        ||
+        let q, r = B.divmod a b and q', r' = B.divmod ka kb in
+        same q q' && same r (down r')
+      in
+      let str_ok =
+        (* to_string through limbs: append 19 decimal zeros (10^19 > 2^62)
+           and strip them again. *)
+        B.is_zero a
+        ||
+        let s = B.to_string (B.mul a (B.of_string "10000000000000000000")) in
+        String.equal (B.to_string a) (String.sub s 0 (String.length s - 19))
+      in
+      same (B.add a b) (down (B.add ka kb))
+      && same (B.sub a b) (down (B.sub ka kb))
+      && same (B.mul a b) (down (down (B.mul ka kb)))
+      && B.compare a b = B.compare ka kb
+      && B.equal a b = B.equal ka kb
+      && same (B.gcd a b) (down (B.gcd ka kb))
+      && divmod_ok && str_ok
+      && same (B.of_string (B.to_string a)) a)
+
+let rat_boundary_gen =
+  QCheck.Gen.map2
+    (fun n d -> R.make n (if B.is_zero d then B.one else d))
+    boundary_gen boundary_gen
+
+let rat_arb = QCheck.make ~print:R.to_string rat_boundary_gen
+
+let prop_rat_fast_vs_limbs =
+  let kr = R.of_bigint k_big in
+  let up x = R.mul x kr and down x = R.div x kr in
+  (* An integer shift above 2^62 puts floor/ceil on limbs. *)
+  let shift = pow2 64 in
+  let shifted f x = B.sub (f (R.add x (R.of_bigint shift))) shift in
+  QCheck.Test.make ~name:"rat fast path = limb path at boundaries" ~count:2000
+    (QCheck.pair rat_arb rat_arb)
+    (fun (a, b) ->
+      let ka = up a and kb = up b in
+      (* The limb route of to_float/to_string: decimal strings of the
+         numerator and denominator. *)
+      let limb_float x =
+        float_of_string (B.to_string (R.num x)) /. float_of_string (B.to_string (R.den x))
+      in
+      let limb_string x =
+        if B.equal (R.den x) B.one then B.to_string (R.num x)
+        else B.to_string (R.num x) ^ "/" ^ B.to_string (R.den x)
+      in
+      same (R.add a b) (down (R.add ka kb))
+      && same (R.sub a b) (down (R.sub ka kb))
+      && same (R.mul a b) (down (down (R.mul ka kb)))
+      && (R.is_zero b || same (R.div a b) (R.div ka kb))
+      && R.compare a b = R.compare ka kb
+      && R.equal a b = R.equal ka kb
+      && same (R.floor a) (shifted R.floor a)
+      && same (R.ceil a) (shifted R.ceil a)
+      && Int64.equal
+           (Int64.bits_of_float (R.to_float a))
+           (Int64.bits_of_float (limb_float a))
+      && String.equal (R.to_string a) (limb_string a)
+      && same (R.make (R.num a) (R.den a)) a)
+
+(* ------------------------------------------------------------------ *)
 (* Simplex                                                             *)
 
 let r = R.of_int
@@ -669,6 +773,179 @@ let test_model_check () =
   check "violates integrality" false (M.check m [| R.one; ri 1 2 |]);
   check "violates binary ub" false (M.check m [| r 2; r 1 |])
 
+let test_model_interleaved_access () =
+  (* Reads between appends, across the growable array's resizes. *)
+  let m = M.create () in
+  let kinds = [| M.Continuous; M.Integer; M.Binary |] in
+  let expect v =
+    let t = kinds.(v mod 3) in
+    let lb, ub =
+      match t with
+      | M.Binary -> (R.zero, Some R.one)
+      | M.Continuous | M.Integer -> (r (-v), if v mod 2 = 0 then Some (r v) else None)
+    in
+    (Printf.sprintf "v%d" v, t, lb, ub)
+  in
+  let bound_eq (l, u) (l', u') =
+    R.equal l l'
+    && match (u, u') with
+       | None, None -> true
+       | Some a, Some b -> R.equal a b
+       | _ -> false
+  in
+  for v = 0 to 49 do
+    let name, t, lb, ub = expect v in
+    let id = M.add_var m ~name ~lb ?ub t in
+    check_int "dense id" v id;
+    check_int "count" (v + 1) (M.num_vars m);
+    for w = 0 to v do
+      let name, t, lb, ub = expect w in
+      check_str "name" name (M.var_name m w);
+      check "type" true (M.var_type m w = t);
+      check "bounds" true (bound_eq (M.var_bounds m w) (lb, ub))
+    done
+  done;
+  check "bad id rejected" true
+    (match M.var_name m 50 with _ -> false | exception Invalid_argument _ -> true)
+
+(* The per-term presolve the one-sum version replaced: each variable's
+   rest-of-row activity is refolded for every term. *)
+module Reference_presolve = struct
+  let activity bounds terms =
+    List.fold_left
+      (fun acc (v, c) ->
+        match acc with
+        | None -> None
+        | Some a -> (
+            let lb, ub = bounds.(v) in
+            let s = R.sign c in
+            if s = 0 then Some a
+            else if s > 0 then Some (R.add a (R.mul c lb))
+            else match ub with Some u -> Some (R.add a (R.mul c u)) | None -> None))
+      (Some R.zero) terms
+
+  let run ~max_passes model =
+    let nv = M.num_vars model in
+    let bounds = Array.init nv (M.var_bounds model) in
+    let is_int v = M.var_type model v <> M.Continuous in
+    let infeasible = ref false and changed = ref true in
+    let round_int v =
+      if is_int v then begin
+        let lb, ub = bounds.(v) in
+        bounds.(v) <-
+          (R.of_bigint (R.ceil lb), Option.map (fun u -> R.of_bigint (R.floor u)) ub)
+      end
+    in
+    let tighten_lb v x =
+      let lb, ub = bounds.(v) in
+      if R.( > ) x lb then begin
+        bounds.(v) <- (x, ub);
+        round_int v;
+        changed := true
+      end
+    in
+    let tighten_ub v x =
+      let lb, ub = bounds.(v) in
+      if match ub with None -> true | Some u -> R.( < ) x u then begin
+        bounds.(v) <- (lb, Some x);
+        round_int v;
+        changed := true
+      end
+    in
+    let rows = ref [] in
+    M.iter_constraints model (fun ~name:_ e sense rhs ->
+        let terms = LE.terms e in
+        let neg = List.map (fun (v, c) -> (v, R.neg c)) terms in
+        match sense with
+        | M.Le -> rows := (terms, rhs) :: !rows
+        | M.Ge -> rows := (neg, R.neg rhs) :: !rows
+        | M.Eq -> rows := (terms, rhs) :: (neg, R.neg rhs) :: !rows);
+    Array.iteri (fun v _ -> round_int v) bounds;
+    let pass () =
+      List.iter
+        (fun (terms, rhs) ->
+          (match activity bounds terms with
+          | Some mn when R.( > ) mn rhs -> infeasible := true
+          | _ -> ());
+          List.iter
+            (fun (v, c) ->
+              let rest = List.filter (fun (v', _) -> v' <> v) terms in
+              match activity bounds rest with
+              | None -> ()
+              | Some mn ->
+                  let limit = R.div (R.sub rhs mn) c in
+                  if R.sign c > 0 then tighten_ub v limit else tighten_lb v limit)
+            terms)
+        !rows;
+      Array.iter
+        (fun (lb, ub) ->
+          match ub with Some u when R.( < ) u lb -> infeasible := true | _ -> ())
+        bounds
+    in
+    let passes = ref 0 in
+    while !changed && (not !infeasible) && !passes < max_passes do
+      changed := false;
+      incr passes;
+      pass ()
+    done;
+    if !infeasible then None else Some bounds
+end
+
+let prop_presolve_one_sum_vs_reference =
+  let gen =
+    QCheck.Gen.(
+      let var =
+        triple (int_range 0 2) (int_range (-3) 3)
+          (opt ~ratio:0.7 (int_range 0 8))
+      in
+      let row nv =
+        triple
+          (list_size (int_range 1 nv)
+             (pair (int_range 0 (nv - 1))
+                (map2 (fun n d -> (if n = 0 then 1 else n), d) (int_range (-6) 6) (int_range 1 3))))
+          (int_range 0 2) (int_range (-10) 20)
+      in
+      int_range 1 7 >>= fun nv ->
+      quad (return nv) (list_repeat nv var) (list_size (int_range 1 6) (row nv)) bool)
+  in
+  let print (nv, _, rows, p) =
+    Printf.sprintf "%d vars, %d rows, passes %d" nv (List.length rows) (if p then 10 else 3)
+  in
+  QCheck.Test.make ~name:"one-sum presolve = per-term reference" ~count:1000
+    (QCheck.make ~print gen) (fun (_, vars, rows, long) ->
+      let m = M.create () in
+      let xs =
+        List.map
+          (fun (kind, lb, span) ->
+            let ub = Option.map (fun s -> r (lb + s - 1)) span in
+            match kind with
+            | 0 -> M.add_var m ~lb:(r lb) ?ub M.Continuous
+            | 1 -> M.add_var m ~lb:(r lb) ?ub M.Integer
+            | _ -> M.add_var m M.Binary)
+          vars
+        |> Array.of_list
+      in
+      List.iter
+        (fun (terms, sense, rhs) ->
+          let e =
+            LE.of_terms (List.map (fun (v, (n, d)) -> (xs.(v), ri n d)) terms)
+          in
+          let sense = match sense with 0 -> M.Le | 1 -> M.Ge | _ -> M.Eq in
+          M.add_constraint m e sense (ri rhs 2))
+        rows;
+      let max_passes = if long then 10 else 3 in
+      let bound_eq (l, u) (l', u') =
+        Stdlib.( = ) l l'
+        && match (u, u') with
+           | None, None -> true
+           | Some a, Some b -> Stdlib.( = ) a b
+           | _ -> false
+      in
+      match (Clara_ilp.Presolve.run ~max_passes m, Reference_presolve.run ~max_passes m) with
+      | Clara_ilp.Presolve.Proven_infeasible, None -> true
+      | Clara_ilp.Presolve.Tightened b, Some b' -> Array.for_all2 bound_eq b b'
+      | _ -> false)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -698,7 +975,9 @@ let suite =
     Alcotest.test_case "simplex empty interval" `Quick test_simplex_empty_interval;
     Alcotest.test_case "lp warm restart = cold solve" `Quick test_lp_rebound_matches_cold;
     Alcotest.test_case "b&b node limit keeps incumbent" `Quick test_bb_node_limit;
-    Alcotest.test_case "model check" `Quick test_model_check ]
+    Alcotest.test_case "model check" `Quick test_model_check;
+    Alcotest.test_case "model reads interleaved with add_var" `Quick
+      test_model_interleaved_access ]
   @ qsuite
       [ prop_bigint_ring;
         prop_bigint_divmod;
@@ -708,6 +987,9 @@ let suite =
         prop_rat_field;
         prop_rat_order;
         prop_rat_floor_frac;
+        prop_bigint_fast_vs_limbs;
+        prop_rat_fast_vs_limbs;
+        prop_presolve_one_sum_vs_reference;
         prop_simplex_feasible;
         prop_bounds_native_vs_rows;
         prop_bb_box_bruteforce;

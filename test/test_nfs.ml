@@ -215,8 +215,27 @@ let test_host_model_valid () =
          | _ -> false)
        (L.Graph.general_cores L.Host.default))
 
+let test_heavy_hitter_runs_repeat () =
+  (* The corpus value is shared across every run in a process, so its
+     sketch counts must start from zero each run.  Three flows push each
+     bucket past the 1000-packet threshold within one run: leftover
+     counts would police the second run from its first packet. *)
+  let hh =
+    match Clara_nfs.Corpus.find "heavy-hitter" with
+    | Some e -> e.Clara_nfs.Corpus.ported
+    | None -> Alcotest.fail "heavy-hitter missing from the corpus"
+  in
+  let tr =
+    W.Trace.synthesize ~seed:5L
+      (W.Profile.make ~packets:3_000 ~flow_count:3 ~rate_pps:60_000. ())
+  in
+  let r1 = Eng.run lnic hh tr in
+  let r2 = Eng.run lnic hh tr in
+  check "second run = first run" true (Stdlib.compare r1 r2 = 0)
+
 let suite =
   [ Alcotest.test_case "all sources analyze (netronome)" `Quick test_all_sources_analyze;
+    Alcotest.test_case "heavy-hitter runs repeat" `Quick test_heavy_hitter_runs_repeat;
     Alcotest.test_case "all ports run" `Quick test_all_ports_run;
     Alcotest.test_case "all sources analyze (soc, host)" `Quick
       test_all_sources_analyze_on_soc_and_host;
