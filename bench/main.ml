@@ -788,14 +788,15 @@ let bechamel () =
   let nat_src = Clara_nfs.Nat.source () in
   let analysis = analyze_exn nat_src prof in
   let trace = W.Trace.synthesize ~seed:3L prof in
-  (* The solver's layers on the real nat@netronome mapping model. *)
+  (* The encoder and the solver's layers on the real nat@netronome
+     mapping model. *)
+  let nat_df = Clara_dataflow.Build.of_source nat_src in
+  let encode_nat () =
+    Clara_mapping.Encode.ilp_model lnic nat_df ~sizes:(Clara.sizes_of_profile prof)
+      ~prob:(Clara.prob_of_profile prof)
+  in
   let nat_model =
-    match
-      Clara_mapping.Encode.ilp_model lnic
-        (Clara_dataflow.Build.of_source nat_src)
-        ~sizes:(Clara.sizes_of_profile prof)
-        ~prob:(Clara.prob_of_profile prof)
-    with
+    match encode_nat () with
     | Ok m -> m
     | Error e -> failwith ("bechamel: nat model: " ^ e)
   in
@@ -808,6 +809,8 @@ let bechamel () =
   let tests =
     [ Test.make ~name:"rat add/mul (small)" (Staged.stage (fun () ->
           ignore (Clara_ilp.Rat.mul (Clara_ilp.Rat.add qa qb) qb)));
+      Test.make ~name:"encode nat@netronome" (Staged.stage (fun () ->
+          ignore (encode_nat ())));
       Test.make ~name:"presolve nat@netronome" (Staged.stage (fun () ->
           ignore (Clara_ilp.Presolve.run nat_model)));
       Test.make ~name:"simplex root nat@netronome" (Staged.stage (fun () ->

@@ -60,10 +60,7 @@ let create (lnic : L.Graph.t) (p : Ir.program) =
   let footprint s =
     match Ir.state_obj_opt p s with Some o -> Ir.state_bytes o | None -> 0
   in
-  let shared =
-    Array.to_list lnic.L.Graph.memories
-    |> List.filter (fun (m : L.Memory.t) -> m.L.Memory.level <> L.Memory.Local)
-  in
+  let shared = L.Graph.shared_memories lnic in
   let ids = List.map (fun (m : L.Memory.t) -> m.L.Memory.id) in
   let state_regions s =
     match
@@ -93,13 +90,7 @@ let create (lnic : L.Graph.t) (p : Ir.program) =
     state_regions;
     packet_regions;
     state_footprint = footprint;
-    island_slack =
-      List.fold_left
-        (fun acc (l : L.Link.t) ->
-          match l.L.Link.kind with
-          | L.Link.Access (_, _) -> Float.max acc (float_of_int l.L.Link.weight_cycles)
-          | _ -> acc)
-        0. lnic.L.Graph.links;
+    island_slack = float_of_int (L.Graph.max_access_weight lnic);
   }
 
 let hull join = function [] -> None | x :: xs -> Some (List.fold_left join x xs)

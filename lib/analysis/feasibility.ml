@@ -19,6 +19,48 @@ let vcall_supported (g : L.Graph.t) vc =
          | L.Unit_.General_core _ -> false)
        (L.Graph.accelerators g)
 
+let accel_blockers (p : Ir.program) =
+  (* Per state: the distinct vcalls naming it (latest first), and
+     whether a raw load, store or atomic touches it. *)
+  let touches = Hashtbl.create 8 in
+  let touch s = Option.value ~default:([], false) (Hashtbl.find_opt touches s) in
+  Array.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (function
+          | Ir.Vcall { vc; state = Some s; _ } ->
+              let vcs, raw = touch s in
+              if not (List.mem vc vcs) then Hashtbl.replace touches s (vc :: vcs, raw)
+          | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s) | Ir.Atomic_op (Ir.L_state s) ->
+              Hashtbl.replace touches s (fst (touch s), true)
+          | _ -> ())
+        b.Ir.instrs)
+    p.Ir.blocks;
+  fun params kind (st : Ir.state_obj) ~racy ~pinned ->
+    let vcs, raw = touch st.Ir.st_name in
+    let unsupported =
+      List.rev (List.filter (fun vc -> L.Params.accel_vcall_cost params kind vc = None) vcs)
+    in
+    let sram = L.Params.accel_sram params kind and bytes = Ir.state_bytes st in
+    let engine =
+      match kind with
+      | L.Unit_.Eswitch -> "the eSwitch"
+      | k -> Printf.sprintf "the %s engine" (L.Unit_.accel_name k)
+    in
+    List.concat
+      [ (if unsupported = [] then []
+         else
+           [ Printf.sprintf "vcall%s %s not implemented by %s"
+               (if List.length unsupported > 1 then "s" else "")
+               (String.concat ", " (List.map L.Params.vcall_name unsupported))
+               engine ]);
+        (if raw then [ "raw loads/stores touch it outside any vcall" ] else []);
+        (if racy then [ "the sharing analysis judged it racy" ] else []);
+        (if bytes > sram then
+           [ Printf.sprintf "its %d bytes exceed the %d-byte flow cache" bytes sram ]
+         else []);
+        (if pinned then [ "it is pinned to a memory level" ] else []) ]
+
 let analyze ~(lnic : L.Graph.t) (p : Ir.program) =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
@@ -71,10 +113,7 @@ let analyze ~(lnic : L.Graph.t) (p : Ir.program) =
       | _ -> ())
     p.Ir.blocks;
   (* CLARA102: state must fit somewhere sharable. *)
-  let shared_mems =
-    Array.to_list lnic.L.Graph.memories
-    |> List.filter (fun (m : L.Memory.t) -> m.L.Memory.level <> L.Memory.Local)
-  in
+  let shared_mems = L.Graph.shared_memories lnic in
   let accel_srams =
     List.filter_map
       (fun (u : L.Unit_.t) ->
@@ -103,65 +142,23 @@ let analyze ~(lnic : L.Graph.t) (p : Ir.program) =
                 st.Ir.st_name bytes lnic.L.Graph.name largest)))
     p.Ir.states;
   (* CLARA105: off-path fast-path demotions.  On a target with an eSwitch,
-     a state rides the hardware fast path only if every touch is a vcall
-     the eSwitch implements, it is race-free, and it fits the flow-cache
-     SRAM; explain violations here so `clara lint --target bluefield`
-     shows the slow-path demotion before mapping runs. *)
+     explain why a vcall-touched state cannot ride the hardware fast path
+     (accel_blockers, the mapper's rule) so `clara lint --target
+     bluefield` shows the slow-path demotion before mapping runs. *)
   (if L.Graph.find_accelerator lnic L.Unit_.Eswitch <> None then
-     let sram = L.Params.accel_sram lnic.L.Graph.params L.Unit_.Eswitch in
      let sharing, _ = Sharing.analyze p in
-     let vcalls_of = Hashtbl.create 8 and raw_touch = Hashtbl.create 8 in
-     Array.iter
-       (fun (b : Ir.block) ->
-         List.iter
-           (fun instr ->
-             match instr with
-             | Ir.Vcall { vc; state = Some s; _ } ->
-                 let cur =
-                   Option.value ~default:[] (Hashtbl.find_opt vcalls_of s)
-                 in
-                 if not (List.mem vc cur) then
-                   Hashtbl.replace vcalls_of s (vc :: cur)
-             | Ir.Load (Ir.L_state s)
-             | Ir.Store (Ir.L_state s)
-             | Ir.Atomic_op (Ir.L_state s) ->
-                 Hashtbl.replace raw_touch s ()
-             | _ -> ())
-           b.Ir.instrs)
-       p.Ir.blocks;
+     let blockers = accel_blockers p lnic.L.Graph.params L.Unit_.Eswitch in
+     let vcalls = Ir.vcalls_of p in
      List.iter
        (fun (st : Ir.state_obj) ->
          let s = st.Ir.st_name in
-         match Hashtbl.find_opt vcalls_of s with
-         | None -> () (* never vcall-touched: nothing to offload *)
-         | Some vcs ->
-             let unsupported =
-               List.filter
-                 (fun vc ->
-                   L.Params.accel_vcall_cost lnic.L.Graph.params L.Unit_.Eswitch
-                     vc
-                   = None)
-                 vcs
-             in
-             let reasons = ref [] in
-             if unsupported <> [] then
-               reasons :=
-                 Printf.sprintf "vcall%s %s not implemented by the eSwitch"
-                   (if List.length unsupported > 1 then "s" else "")
-                   (String.concat ", "
-                      (List.map L.Params.vcall_name (List.rev unsupported)))
-                 :: !reasons;
-             if Hashtbl.mem raw_touch s then
-               reasons :=
-                 "raw loads/stores touch it outside any vcall" :: !reasons;
-             if List.assoc_opt s sharing = Some Sharing.Racy then
-               reasons := "the sharing analysis judged it racy" :: !reasons;
-             if Ir.state_bytes st > sram then
-               reasons :=
-                 Printf.sprintf "its %d bytes exceed the %d-byte flow cache"
-                   (Ir.state_bytes st) sram
-                 :: !reasons;
-             if !reasons <> [] then
+         (* A state no vcall touches has nothing to offload. *)
+         if List.exists (fun (v : Ir.vcall_info) -> v.Ir.state = Some s) vcalls then
+           match
+             blockers st ~racy:(List.assoc_opt s sharing = Some Sharing.Racy) ~pinned:false
+           with
+           | [] -> ()
+           | reasons ->
                emit
                  (Diag.make ~code:"CLARA105" ~severity:Diag.Warn
                     ~pass:"feasibility"
@@ -170,6 +167,6 @@ let analyze ~(lnic : L.Graph.t) (p : Ir.program) =
                         target '%s' (%s): its packets take the core slow \
                         path, paying the upcall on every flow-cache miss"
                        s lnic.L.Graph.name
-                       (String.concat "; " (List.rev !reasons)))))
+                       (String.concat "; " reasons))))
        p.Ir.states);
   List.rev !diags

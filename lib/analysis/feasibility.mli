@@ -21,3 +21,12 @@
 
 val analyze :
   lnic:Clara_lnic.Graph.t -> Clara_cir.Ir.program -> Diag.t list
+
+val accel_blockers :
+  Clara_cir.Ir.program -> Clara_lnic.Params.t -> Clara_lnic.Unit_.accel_kind ->
+  Clara_cir.Ir.state_obj -> racy:bool -> pinned:bool -> string list
+(** Why a state of the program cannot live in an accelerator's SRAM, in
+    order: touching vcalls it does not implement, raw loads/stores, a
+    racy verdict, a footprint beyond the SRAM, a pin.  The mapper offers
+    the placement iff the list is empty; CLARA105 prints it.
+    [accel_blockers p] scans [p] once. *)

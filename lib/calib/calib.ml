@@ -252,11 +252,10 @@ let run_case_exn c =
       | Error e -> Error (Printf.sprintf "%s on %s: %s" name c.case_nic e)
       | Ok analysis ->
           let trace = W.Trace.synthesize ~seed:(Int64.of_int c.case_seed) profile in
-          (* Predictor side: prediction + component decomposition on the
-             same trace and RNG seed, so the totals match exactly. *)
+          (* Predictor side: prediction + component decomposition from
+             one walk of the trace, so the totals match exactly. *)
           let pt = Lat.create lnic analysis.Clara.df analysis.Clara.mapping in
-          let p = Lat.predict_trace pt trace in
-          let att = Lat.attribute_trace pt trace in
+          let { Lat.prediction = p; attribution = att; _ } = Lat.run pt trace in
           let pall =
             List.find (fun (r : Lat.att_row) -> r.Lat.at_type = "all") att.Lat.att_rows
           in

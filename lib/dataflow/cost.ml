@@ -30,6 +30,29 @@ type placement = {
 
 type ctx = { place : placement; sizes : sizes }
 
+(* Cluster memory while the packet fits the CTM threshold, external
+   memory once it spills (§3.2). *)
+let packet_region lnic (u : L.Unit_.t) ~packet_bytes =
+  let reach = L.Graph.reachable_memories lnic ~unit_id:u.L.Unit_.id in
+  let threshold = lnic.L.Graph.params.P.packet_ctm_threshold in
+  let pick level =
+    List.find_opt (fun (m, _) -> m.L.Memory.level = level) reach
+  in
+  let choice =
+    if int_of_float packet_bytes <= threshold then
+      (match pick L.Memory.Cluster with None -> pick L.Memory.External | s -> s)
+    else
+      match pick L.Memory.External with None -> pick L.Memory.Cluster | s -> s
+  in
+  match (choice, reach) with
+  | Some (m, _), _ -> m.L.Memory.id
+  | None, (m, _) :: _ -> m.L.Memory.id
+  | None, [] -> invalid_arg "Cost.packet_region: unit reaches no memory"
+
+let placement lnic u ~packet_bytes ~state_region ~state_footprint =
+  { lnic; exec_unit = u; state_region; state_footprint;
+    packet_region = packet_region lnic u ~packet_bytes }
+
 (* Caches are shared (packet spill, other flows), so even a footprint that
    fits is not always resident: the effective latency mixes hit and miss
    with a locality-discounted hit ratio.  The discount keeps Γ honest:

@@ -58,6 +58,22 @@ type placement = {
 
 type ctx = { place : placement; sizes : sizes }
 
+val packet_region :
+  Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> packet_bytes:float -> int
+(** Where a unit sees packet data: cluster memory while the packet fits
+    [packet_ctm_threshold], external memory once it spills (§3.2).
+    @raise Invalid_argument when the unit reaches no memory. *)
+
+val placement :
+  Clara_lnic.Graph.t ->
+  Clara_lnic.Unit_.t ->
+  packet_bytes:float ->
+  state_region:(string -> int) ->
+  state_footprint:(string -> int) ->
+  placement
+(** A unit's placement for packets of [packet_bytes], with its
+    {!packet_region}: the one constructor the mapper and predictor use. *)
+
 (** {2 The price table}
 
     One function turns an instruction on a unit into a priced step.

@@ -12,6 +12,19 @@ type t = {
 let is_vcall t = match t.kind with N_vcall _ -> true | N_compute _ -> false
 let vcall t = match t.kind with N_vcall v -> Some v | N_compute _ -> None
 
+let state t =
+  match t.kind with
+  | N_vcall v -> v.Clara_cir.Ir.state
+  | N_compute is ->
+      List.find_map
+        (function
+          | Clara_cir.Ir.Load (Clara_cir.Ir.L_state s)
+          | Clara_cir.Ir.Store (Clara_cir.Ir.L_state s)
+          | Clara_cir.Ir.Atomic_op (Clara_cir.Ir.L_state s) ->
+              Some s
+          | _ -> None)
+        is
+
 let instr_count t =
   match t.kind with N_vcall _ -> 1 | N_compute is -> List.length is
 

@@ -19,5 +19,8 @@ type t = {
 
 val is_vcall : t -> bool
 val vcall : t -> Clara_cir.Ir.vcall_info option
+val state : t -> string option
+(** The state the node touches, if any ({!Build} allows at most one). *)
+
 val instr_count : t -> int
 val pp : Format.formatter -> t -> unit

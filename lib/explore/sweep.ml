@@ -224,13 +224,13 @@ let run ?(domains = 1) ?timeout_ms ?cache ?slo_p99_us (spec : Spec.t) =
             | None -> compute () (* well-formed JSON, wrong shape: miss *))
         | None -> compute ()))
   in
-  let results, xstats = Executor.map ~domains ?timeout_ms job n in
+  let results, xstats = Clara_util.Pool.map ~domains ?timeout_ms job n in
   let outcomes =
     Array.mapi
       (fun i r ->
         match r with
-        | Executor.Done (status, cached) -> { cell = cells.(i); status; cached }
-        | Executor.Failed e -> { cell = cells.(i); status = Failed e; cached = false })
+        | Clara_util.Pool.Done (status, cached) -> { cell = cells.(i); status; cached }
+        | Clara_util.Pool.Failed e -> { cell = cells.(i); status = Failed e; cached = false })
       results
   in
   let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 outcomes in
@@ -241,15 +241,15 @@ let run ?(domains = 1) ?timeout_ms ?cache ?slo_p99_us (spec : Spec.t) =
     if Option.is_some cache then n - cache_hits - pruned else 0
   in
   let stats =
-    { domains = xstats.Executor.domains;
+    { domains = xstats.Clara_util.Pool.domains;
       cells = n;
       cache_hits;
       cache_misses;
       failed;
       pruned;
-      wall_ns = xstats.Executor.wall_ns;
-      busy_ns = xstats.Executor.busy_ns;
-      utilization = Executor.utilization xstats }
+      wall_ns = xstats.Clara_util.Pool.wall_ns;
+      busy_ns = xstats.Clara_util.Pool.busy_ns;
+      utilization = Clara_util.Pool.utilization xstats }
   in
   Clara_obs.Metrics.add c_cells n;
   Clara_obs.Metrics.add c_hits cache_hits;

@@ -69,6 +69,17 @@ let access_cycles t ~unit_id ~mem_id mode =
       in
       Some (base + w)
 
+let max_access_weight t =
+  List.fold_left
+    (fun acc l ->
+      match l.Link.kind with
+      | Link.Access (_, _) -> max acc l.Link.weight_cycles
+      | _ -> acc)
+    0 t.links
+
+let shared_memories t =
+  Array.to_list t.memories |> List.filter (fun m -> m.Memory.level <> Memory.Local)
+
 let reachable_memories t ~unit_id =
   List.filter_map
     (fun l ->

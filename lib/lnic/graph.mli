@@ -56,6 +56,13 @@ val access_weight : t -> unit_id:int -> mem_id:int -> int option
 val access_cycles : t -> unit_id:int -> mem_id:int -> [ `Read | `Write | `Atomic ] -> int option
 (** Full access latency: region base cost + bus weight. *)
 
+val max_access_weight : t -> int
+(** The heaviest unit-to-region bus weight (0 without one): the
+    remote-island penalty of a cluster-memory access. *)
+
+val shared_memories : t -> Memory.t list
+(** Regions that can hold shared state: every level but [Local]. *)
+
 val reachable_memories : t -> unit_id:int -> (Memory.t * int) list
 (** Regions a unit can touch, with their NUMA weights, fastest first. *)
 

@@ -14,48 +14,6 @@ let c_racy_states = Clara_obs.Registry.counter obs "mapping.sharing.racy_states"
 let c_hardened =
   Clara_obs.Registry.counter obs "mapping.sharing.hardened_instrs"
 
-(* State object a node touches (at most one, guaranteed by Build). *)
-let node_state (n : D.Node.t) =
-  match n.D.Node.kind with
-  | D.Node.N_vcall v -> v.Ir.state
-  | D.Node.N_compute is ->
-      List.find_map
-        (function
-          | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s) | Ir.Atomic_op (Ir.L_state s) ->
-              Some s
-          | _ -> None)
-        is
-
-(* Packet data region as seen from a unit: cluster memory while the packet
-   fits the CTM threshold, external memory otherwise (§3.2). *)
-let packet_region_for lnic (u : L.Unit_.t) ~packet_bytes =
-  let reach = L.Graph.reachable_memories lnic ~unit_id:u.L.Unit_.id in
-  let threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold in
-  let pick level =
-    List.find_opt (fun (m, _) -> m.L.Memory.level = level) reach
-  in
-  let choice =
-    if int_of_float packet_bytes <= threshold then
-      (match pick L.Memory.Cluster with None -> pick L.Memory.External | s -> s)
-    else
-      match pick L.Memory.External with None -> pick L.Memory.Cluster | s -> s
-  in
-  match (choice, reach) with
-  | Some (m, _), _ -> m.L.Memory.id
-  | None, (m, _) :: _ -> m.L.Memory.id
-  | None, [] -> invalid_arg "Encode: unit reaches no memory"
-
-let cost_ctx lnic (u : L.Unit_.t) ~sizes ~state_region ~state_footprint =
-  {
-    D.Cost.place =
-      { D.Cost.lnic;
-        exec_unit = u;
-        state_region;
-        state_footprint;
-        packet_region = packet_region_for lnic u ~packet_bytes:sizes.D.Cost.packet_bytes };
-    sizes;
-  }
-
 let rat_of_cost c = I.Rat.of_int (int_of_float (Float.round c))
 
 let rat_of_weight w =
@@ -77,7 +35,27 @@ type encoded = {
   accel_kinds : L.Unit_.accel_kind list;
 }
 
-let encode ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~prob =
+(* One way to run a node: a placement class, where the state it touches
+   lives (nowhere for a stateless node), and its price there. *)
+type pairing = Stateless | In_region of int | In_sram of L.Unit_.accel_kind
+type candidate = { ci : int; pairing : pairing; cost : float }
+
+(* What the model is built from. *)
+type priced = {
+  classes : L.Graph.placement_class array;
+  accel_kinds : L.Unit_.accel_kind list;  (* of the usable classes *)
+  nodes : D.Node.t array;  (* hardened *)
+  weights : float array;
+  state_options : (Ir.state_obj * L.Memory.t list * L.Unit_.accel_kind list) list;
+      (* Γ's options per state: regions, accelerator SRAMs *)
+  candidates : candidate list array;  (* by node id *)
+}
+
+(* Price every candidate placement of every node.  [Error] names the
+   last state with no option or, when there is one, the last node with
+   no candidate. *)
+let price ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
+  let p = df.D.Graph.cir in
   (* A state the sharing analysis judged racy gets hardened: its raw
      loads/stores are priced as atomics (the cost the program pays once
      the race is fixed), and it never moves into accelerator SRAM. *)
@@ -110,58 +88,19 @@ let encode ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~p
         { n with D.Node.kind = D.Node.N_compute is' }
     | _ -> n
   in
-  let classes =
-    L.Graph.placement_classes lnic
-    |> List.filter (fun (c : L.Graph.placement_class) ->
-           match c.L.Graph.rep.L.Unit_.kind with
-           | L.Unit_.Accelerator k -> not (List.mem k options.Mapping.disallowed_accels)
-           | L.Unit_.General_core _ -> true)
-    |> Array.of_list
-  in
-  let nclasses = Array.length classes in
-  let rep ci = classes.(ci).L.Graph.rep in
-  let stage ci = (rep ci).L.Unit_.stage in
+  let classes = Array.of_list (Mapping.usable_classes options lnic) in
   let nodes = Array.map harden_node df.D.Graph.nodes in
   let weights = D.Flow.node_weights df ~prob in
-  let states = D.Graph.states df in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> raise (Ir.Unknown_state s)
-  in
+  let footprint s = Ir.state_bytes (Ir.state_obj p s) in
   (* A node touching an undeclared state would otherwise surface as a
      generic "cannot run on any unit" (no y variable to pair with). *)
   Array.iter
     (fun (n : D.Node.t) ->
-      match node_state n with
-      | Some s when not (List.exists (fun o -> o.Ir.st_name = s) states) ->
-          raise (Ir.Unknown_state s)
+      match D.Node.state n with
+      | Some s when Ir.state_obj_opt p s = None -> raise (Ir.Unknown_state s)
       | _ -> ())
     nodes;
-  let state_entries s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> float_of_int o.Ir.st_entries
-    | None -> 0.
-  in
-  let sizes =
-    (* Resolve table sizes from the program itself unless the caller
-       already provided them. *)
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          let v = sizes.D.Cost.state_entries s in
-          if v > 0. then v else state_entries s) }
-  in
-  let shared_regions =
-    Array.to_list lnic.L.Graph.memories
-    |> List.filter (fun (m : L.Memory.t) ->
-           match m.L.Memory.level with
-           | L.Memory.Cluster | L.Memory.Internal | L.Memory.External -> true
-           | L.Memory.Local -> false)
-  in
-  let touching s =
-    Array.to_list nodes |> List.filter (fun n -> node_state n = Some s)
-  in
+  let sizes = Mapping.with_declared_entries p sizes in
   let accel_kinds =
     Array.to_list classes
     |> List.filter_map (fun (c : L.Graph.placement_class) ->
@@ -169,62 +108,116 @@ let encode ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~p
            | L.Unit_.Accelerator k -> Some k
            | L.Unit_.General_core _ -> None)
   in
-  let params = lnic.L.Graph.params in
-  (* Accelerator kinds that could host state s entirely. *)
+  (* Γ's options per state: the shared regions it fits (on its pinned
+     level, if any) and the accelerators that could host it whole. *)
+  let shared_regions = L.Graph.shared_memories lnic in
+  let blockers = Clara_analysis.Feasibility.accel_blockers p lnic.L.Graph.params in
   let pinned s = List.assoc_opt s options.Mapping.pin_state in
-  let accel_options s =
-    List.filter
-      (fun k ->
-        pinned s = None
-        && (not (racy s))
-        && footprint s <= L.Params.accel_sram params k
-        && List.for_all
-             (fun (n : D.Node.t) ->
-               match n.D.Node.kind with
-               | D.Node.N_vcall v -> L.Params.accel_vcall_cost params k v.Ir.vc <> None
-               | D.Node.N_compute _ -> false)
-             (touching s))
-      accel_kinds
+  let state_options =
+    List.map
+      (fun (st : Ir.state_obj) ->
+        let s = st.Ir.st_name in
+        let mems =
+          List.filter
+            (fun (m : L.Memory.t) ->
+              footprint s <= m.L.Memory.size_bytes
+              && match pinned s with None -> true | Some lvl -> m.L.Memory.level = lvl)
+            shared_regions
+        and accs =
+          List.filter
+            (fun k ->
+              blockers k st ~racy:(racy s) ~pinned:(pinned s <> None) = [])
+            accel_kinds
+        in
+        (st, mems, accs))
+      (D.Graph.states df)
   in
-  let mem_options s =
-    List.filter
-      (fun (m : L.Memory.t) ->
-        footprint s <= m.L.Memory.size_bytes
-        && match pinned s with None -> true | Some lvl -> m.L.Memory.level = lvl)
-      shared_regions
-  in
-  let model = M.create () in
+  let options_of = Hashtbl.create 8 in
   let errors = ref [] in
+  List.iter
+    (fun ((st : Ir.state_obj), mems, accs) ->
+      Hashtbl.replace options_of st.Ir.st_name (mems, accs);
+      if mems = [] && accs = [] then
+        errors := Printf.sprintf "state '%s' fits no memory region" st.Ir.st_name :: !errors)
+    state_options;
+  let pairings (n : D.Node.t) ci =
+    match D.Node.state n with
+    | None -> [ Stateless ]
+    | Some s -> (
+        let mems, accs = Hashtbl.find options_of s in
+        match classes.(ci).L.Graph.rep.L.Unit_.kind with
+        | L.Unit_.General_core _ ->
+            List.map (fun (m : L.Memory.t) -> In_region m.L.Memory.id) mems
+        | L.Unit_.Accelerator k -> if List.mem k accs then [ In_sram k ] else [])
+  in
+  let candidate (n : D.Node.t) ci pairing =
+    let state_region =
+      match pairing with
+      | In_region m -> fun _ -> m
+      | Stateless | In_sram _ -> fun _ -> invalid_arg "Encode: no state region"
+    in
+    let place =
+      D.Cost.placement lnic classes.(ci).L.Graph.rep ~packet_bytes:sizes.D.Cost.packet_bytes
+        ~state_region ~state_footprint:footprint
+    in
+    Option.map (fun cost -> { ci; pairing; cost }) (D.Cost.node_cycles { D.Cost.place; sizes } n)
+  in
+  let candidates =
+    Array.map
+      (fun (n : D.Node.t) ->
+        let cs =
+          List.concat_map
+            (fun ci -> List.filter_map (candidate n ci) (pairings n ci))
+            (List.init (Array.length classes) Fun.id)
+        in
+        if cs = [] then
+          errors := Printf.sprintf "node n%d cannot run on any unit" n.D.Node.id :: !errors;
+        cs)
+      nodes
+  in
+  match !errors with
+  | e :: _ -> Error e
+  | [] -> Ok { classes; accel_kinds; nodes; weights; state_options; candidates }
+
+(* Create the variables and constraints of a priced problem, in a fixed
+   order: state placements, node choices (each tied to the placement it
+   prices), pipeline ordering, capacities. *)
+let build ?dump_lp lnic (df : D.Graph.t) pr =
+  let { classes; accel_kinds; nodes; weights; state_options; candidates } = pr in
+  let nclasses = Array.length classes in
+  let rep ci = classes.(ci).L.Graph.rep in
+  let stage ci = (rep ci).L.Unit_.stage in
+  let states = D.Graph.states df in
+  let footprint s = Ir.state_bytes (Ir.state_obj df.D.Graph.cir s) in
+  let shared_regions = L.Graph.shared_memories lnic in
+  let model = M.create () in
   (* ---- state placement variables ---- *)
   let y_mem = Hashtbl.create 16 (* (state, mem id) -> var *) in
   let y_acc = Hashtbl.create 16 (* (state, accel kind) -> var *) in
   List.iter
-    (fun (st : Ir.state_obj) ->
+    (fun ((st : Ir.state_obj), mems, accs) ->
       let s = st.Ir.st_name in
-      let mems = mem_options s and accs = accel_options s in
-      if mems = [] && accs = [] then
-        errors := Printf.sprintf "state '%s' fits no memory region" s :: !errors
-      else begin
-        let vars = ref [] in
-        List.iter
+      let ym =
+        List.map
           (fun (m : L.Memory.t) ->
             let v = M.add_var model ~name:(Printf.sprintf "y_%s_m%d" s m.L.Memory.id) M.Binary in
             Hashtbl.add y_mem (s, m.L.Memory.id) v;
-            vars := v :: !vars)
-          mems;
-        List.iter
+            v)
+          mems
+      in
+      let ya =
+        List.map
           (fun k ->
             let v = M.add_var model ~name:(Printf.sprintf "y_%s_acc" s) M.Binary in
             Hashtbl.add y_acc (s, k) v;
-            vars := v :: !vars)
-          accs;
-        M.add_constraint model ~name:(Printf.sprintf "place_%s" s)
-          (LE.sum (List.map LE.var !vars))
-          M.Eq I.Rat.one
-      end)
-    states;
-  (* ---- node assignment variables ---- *)
-  (* For each node: list of (class idx, cost, var, mem option) *)
+            v)
+          accs
+      in
+      M.add_constraint model ~name:(Printf.sprintf "place_%s" s)
+        (LE.sum (List.rev_map LE.var (ym @ ya)))
+        M.Eq I.Rat.one)
+    state_options;
+  (* ---- node choice variables ---- *)
   let x_vars = Hashtbl.create 64 (* (node, class) -> var list (z's share class) *) in
   let objective = ref LE.zero in
   (* Worst candidate cost per node.  Exactly one choice var per node is
@@ -240,88 +233,32 @@ let encode ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~p
     | _ -> Hashtbl.replace node_worst n r);
     objective := LE.add !objective (LE.var ~coeff:r var)
   in
-  Array.iter
-    (fun (n : D.Node.t) ->
+  Array.iteri
+    (fun i (n : D.Node.t) ->
       let nid = n.D.Node.id in
-      let choice_vars = ref [] in
-      let record ci v =
-        Hashtbl.add x_vars (nid, ci) v;
-        choice_vars := v :: !choice_vars
-      in
-      (match node_state n with
-      | None ->
-          for ci = 0 to nclasses - 1 do
-            let ctx =
-              cost_ctx lnic (rep ci) ~sizes
-                ~state_region:(fun _ -> invalid_arg "stateless")
-                ~state_footprint:(fun _ -> 0)
+      let y key tbl = Hashtbl.find tbl (Option.get (D.Node.state n), key) in
+      let xs =
+        List.map
+          (fun { ci; pairing; cost } ->
+            let name, y =
+              match pairing with
+              | Stateless -> (Printf.sprintf "x_n%d_c%d" nid ci, None)
+              | In_region m -> (Printf.sprintf "z_n%d_c%d_m%d" nid ci m, Some (y m y_mem))
+              | In_sram k -> (Printf.sprintf "xa_n%d_c%d" nid ci, Some (y k y_acc))
             in
-            match D.Cost.node_cycles ctx n with
-            | None -> ()
-            | Some c ->
-                let v =
-                  M.add_var model ~name:(Printf.sprintf "x_n%d_c%d" nid ci) M.Binary
-                in
-                record ci v;
-                add_obj nid c v
-          done
-      | Some s ->
-          for ci = 0 to nclasses - 1 do
-            match (rep ci).L.Unit_.kind with
-            | L.Unit_.General_core _ ->
-                List.iter
-                  (fun (m : L.Memory.t) ->
-                    match Hashtbl.find_opt y_mem (s, m.L.Memory.id) with
-                    | None -> ()
-                    | Some yv -> (
-                        let ctx =
-                          cost_ctx lnic (rep ci) ~sizes
-                            ~state_region:(fun _ -> m.L.Memory.id)
-                            ~state_footprint:footprint
-                        in
-                        match D.Cost.node_cycles ctx n with
-                        | None -> ()
-                        | Some c ->
-                            let zv =
-                              M.add_var model
-                                ~name:(Printf.sprintf "z_n%d_c%d_m%d" nid ci m.L.Memory.id)
-                                M.Binary
-                            in
-                            record ci zv;
-                            add_obj nid c zv;
-                            (* z implies the state placement *)
-                            M.add_constraint model
-                              (LE.sub (LE.var zv) (LE.var yv))
-                              M.Le I.Rat.zero))
-                  shared_regions
-            | L.Unit_.Accelerator k -> (
-                match Hashtbl.find_opt y_acc (s, k) with
-                | None -> ()
-                | Some yv -> (
-                    let ctx =
-                      cost_ctx lnic (rep ci) ~sizes
-                        ~state_region:(fun _ -> invalid_arg "accel state")
-                        ~state_footprint:footprint
-                    in
-                    match D.Cost.node_cycles ctx n with
-                    | None -> ()
-                    | Some c ->
-                        let v =
-                          M.add_var model ~name:(Printf.sprintf "xa_n%d_c%d" nid ci)
-                            M.Binary
-                        in
-                        record ci v;
-                        add_obj nid c v;
-                        M.add_constraint model
-                          (LE.sub (LE.var v) (LE.var yv))
-                          M.Le I.Rat.zero))
-          done);
-      if !choice_vars = [] then
-        errors := Printf.sprintf "node n%d cannot run on any unit" nid :: !errors
-      else
-        M.add_constraint model ~name:(Printf.sprintf "assign_n%d" nid)
-          (LE.sum (List.map LE.var !choice_vars))
-          M.Eq I.Rat.one)
+            let v = M.add_var model ~name M.Binary in
+            Hashtbl.add x_vars (nid, ci) v;
+            add_obj nid cost v;
+            (* The choice implies the state placement it was priced at. *)
+            Option.iter
+              (fun y -> M.add_constraint model (LE.sub (LE.var v) (LE.var y)) M.Le I.Rat.zero)
+              y;
+            v)
+          candidates.(i)
+      in
+      M.add_constraint model ~name:(Printf.sprintf "assign_n%d" nid)
+        (LE.sum (List.rev_map LE.var xs))
+        M.Eq I.Rat.one)
     nodes;
   (* ---- pipeline ordering along dataflow edges ---- *)
   let stage_expr nid =
@@ -368,21 +305,24 @@ let encode ~(options : Mapping.options) ?dump_lp lnic (df : D.Graph.t) ~sizes ~p
       in
       if terms <> [] then
         M.add_constraint model (LE.sum terms) M.Le
-          (I.Rat.of_int (L.Params.accel_sram params k)))
+          (I.Rat.of_int (L.Params.accel_sram lnic.L.Graph.params k)))
     accel_kinds;
-  match !errors with
-  | e :: _ -> Error e
-  | [] ->
-      M.set_objective model M.Minimize !objective;
-      Clara_obs.Metrics.add c_vars (M.num_vars model);
-      Clara_obs.Metrics.add c_constraints (M.num_constraints model);
-      Option.iter (fun path -> I.Lp_format.write_file path model) dump_lp;
-      let initial_bound =
-        Hashtbl.fold (fun _ w acc -> I.Rat.add w acc) node_worst I.Rat.zero
-      in
-      Ok
-        { model; initial_bound; nodes; nclasses; rep; x_vars; y_mem; y_acc;
-          states; shared_regions; accel_kinds }
+  M.set_objective model M.Minimize !objective;
+  Clara_obs.Metrics.add c_vars (M.num_vars model);
+  Clara_obs.Metrics.add c_constraints (M.num_constraints model);
+  Option.iter (fun path -> I.Lp_format.write_file path model) dump_lp;
+  let initial_bound =
+    Hashtbl.fold (fun _ w acc -> I.Rat.add w acc) node_worst I.Rat.zero
+  in
+  { model; initial_bound; nodes; nclasses; rep; x_vars; y_mem; y_acc;
+    states; shared_regions; accel_kinds }
+
+let encode ~options ?dump_lp lnic df ~sizes ~prob =
+  match
+    Clara_obs.Registry.span obs "price" (fun () -> price ~options lnic df ~sizes ~prob)
+  with
+  | Error e -> Error e
+  | Ok pr -> Ok (Clara_obs.Registry.span obs "model" (fun () -> build ?dump_lp lnic df pr))
 
 let solve_and_decode ~(options : Mapping.options) lnic e =
   let { model; initial_bound; nodes; nclasses; rep; x_vars; y_mem; y_acc;
@@ -472,19 +412,9 @@ let map_nf_exn ~options ?dump_lp lnic df ~sizes ~prob =
   | Error e -> Error e
   | Ok e -> solve_and_decode ~options lnic e
 
-(* Undeclared state surfaces from deep inside the encoder. *)
-let undeclared f =
-  try f ()
-  with Ir.Unknown_state s ->
-    Error
-      (Printf.sprintf
-         "NF references undeclared state '%s' (lint CLARA302 reports this \
-          statically)"
-         s)
-
 let map_nf ?(options = Mapping.default_options) ?dump_lp lnic df ~sizes ~prob =
-  undeclared (fun () -> map_nf_exn ~options ?dump_lp lnic df ~sizes ~prob)
+  Mapping.undeclared (fun () -> map_nf_exn ~options ?dump_lp lnic df ~sizes ~prob)
 
 let ilp_model ?(options = Mapping.default_options) lnic df ~sizes ~prob =
-  undeclared (fun () ->
+  Mapping.undeclared (fun () ->
       Result.map (fun e -> e.model) (encode ~options lnic df ~sizes ~prob))

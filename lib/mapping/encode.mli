@@ -16,23 +16,18 @@
     Objective: minimize expected per-packet cycles — node costs priced by
     {!Clara_dataflow.Cost} and weighted by guard-derived execution
     frequencies ({!Clara_dataflow.Flow}), emulating what a good hand port
-    would choose. *)
+    would choose.
 
-val packet_region_for :
-  Clara_lnic.Graph.t -> Clara_lnic.Unit_.t -> packet_bytes:float -> int
-(** Memory region holding packet data as seen from a unit: cluster memory
-    while the packet fits the CTM threshold, external memory once it
-    spills (§3.2). *)
-
-val cost_ctx :
-  Clara_lnic.Graph.t ->
-  Clara_lnic.Unit_.t ->
-  sizes:Clara_dataflow.Cost.sizes ->
-  state_region:(string -> int) ->
-  state_footprint:(string -> int) ->
-  Clara_dataflow.Cost.ctx
-(** The price context of a unit at workload-average sizes, its packet
-    region chosen by {!packet_region_for}. *)
+    Encoding runs in two steps, each its own [--stats] span under
+    [encode]: [price] prices every candidate placement of every node (a
+    usable class from {!Mapping.usable_classes}, paired with a region or
+    accelerator its state may take), and [model] then creates the
+    variables and constraints in a fixed order.  The placement rules are
+    read from their owners: packet regions and placements from
+    {!Clara_dataflow.Cost.placement}, sharable regions from
+    {!Clara_lnic.Graph.shared_memories}, and accelerator hosting from
+    {!Clara_analysis.Feasibility.accel_blockers}, the rule CLARA105
+    explains. *)
 
 val map_nf :
   ?options:Mapping.options ->

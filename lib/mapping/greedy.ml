@@ -4,29 +4,13 @@ module Ir = Clara_cir.Ir
 
 let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
   let states = D.Graph.states df in
-  let footprint s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> Ir.state_bytes o
-    | None -> raise (Ir.Unknown_state s)
-  in
-  let state_entries s =
-    match List.find_opt (fun o -> o.Ir.st_name = s) states with
-    | Some o -> float_of_int o.Ir.st_entries
-    | None -> 0.
-  in
-  let sizes =
-    { sizes with
-      D.Cost.state_entries =
-        (fun s ->
-          let v = sizes.D.Cost.state_entries s in
-          if v > 0. then v else state_entries s) }
-  in
+  let footprint s = Ir.state_bytes (Ir.state_obj df.D.Graph.cir s) in
+  let sizes = Mapping.with_declared_entries df.D.Graph.cir sizes in
   (* First-fit state placement: fastest shared region with remaining
      capacity.  The greedy port never considers accelerator SRAM — using
      the flow cache is exactly the insight hand-tuning discovers. *)
   let shared =
-    Array.to_list lnic.L.Graph.memories
-    |> List.filter (fun (m : L.Memory.t) -> m.L.Memory.level <> L.Memory.Local)
+    L.Graph.shared_memories lnic
     |> List.sort (fun (a : L.Memory.t) b -> compare a.L.Memory.read_cycles b.L.Memory.read_cycles)
   in
   let remaining = Hashtbl.create 8 in
@@ -59,29 +43,12 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
         | Some (Mapping.In_accel _) -> assert false
         | None -> raise (Ir.Unknown_state s)
       in
-      let classes =
-        L.Graph.placement_classes lnic
-        |> List.filter (fun (c : L.Graph.placement_class) ->
-               match c.L.Graph.rep.L.Unit_.kind with
-               | L.Unit_.Accelerator k -> not (List.mem k options.Mapping.disallowed_accels)
-               | L.Unit_.General_core _ -> true)
-      in
+      let classes = Mapping.usable_classes options lnic in
       let weights = D.Flow.node_weights df ~prob in
       let node_unit = Array.make (Array.length df.D.Graph.nodes) (-1) in
       let total = ref 0. in
       let min_stage = ref 0 in
       let errors = ref [] in
-      let touches_state (n : D.Node.t) =
-        match n.D.Node.kind with
-        | D.Node.N_vcall v -> v.Ir.state <> None
-        | D.Node.N_compute is ->
-            List.exists
-              (function
-                | Ir.Load (Ir.L_state _) | Ir.Store (Ir.L_state _) | Ir.Atomic_op (Ir.L_state _) ->
-                    true
-                | _ -> false)
-              is
-      in
       List.iter
         (fun nid ->
           let n = D.Graph.node df nid in
@@ -90,16 +57,17 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
               (fun (c : L.Graph.placement_class) ->
                 let u = c.L.Graph.rep in
                 if u.L.Unit_.stage < !min_stage then None
-                else if touches_state n && not (L.Unit_.is_general u) then
+                else if D.Node.state n <> None && not (L.Unit_.is_general u) then
                   (* The greedy port placed all state in memory regions;
                      it never discovers that moving a table into an
                      accelerator's SRAM (the flow cache) is possible. *)
                   None
                 else
-                  let ctx =
-                    Encode.cost_ctx lnic u ~sizes ~state_region ~state_footprint:footprint
+                  let place =
+                    D.Cost.placement lnic u ~packet_bytes:sizes.D.Cost.packet_bytes
+                      ~state_region ~state_footprint:footprint
                   in
-                  Option.map (fun cost -> (u, cost)) (D.Cost.node_cycles ctx n))
+                  Option.map (fun cost -> (u, cost)) (D.Cost.node_cycles { D.Cost.place; sizes } n))
               classes
           in
           match List.sort (fun (_, a) (_, b) -> compare a b) candidates with
@@ -123,10 +91,4 @@ let map_nf_exn ~(options : Mapping.options) lnic (df : D.Graph.t) ~sizes ~prob =
             })
 
 let map_nf ?(options = Mapping.default_options) lnic df ~sizes ~prob =
-  try map_nf_exn ~options lnic df ~sizes ~prob
-  with Ir.Unknown_state s ->
-    Error
-      (Printf.sprintf
-         "NF references undeclared state '%s' (lint CLARA302 reports this \
-          statically)"
-         s)
+  Mapping.undeclared (fun () -> map_nf_exn ~options lnic df ~sizes ~prob)

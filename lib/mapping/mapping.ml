@@ -19,6 +19,33 @@ type options = {
 let default_options =
   { disallowed_accels = []; pin_state = []; node_limit = 200_000; sharing = [] }
 
+let usable_classes options lnic =
+  Clara_lnic.Graph.placement_classes lnic
+  |> List.filter (fun (c : Clara_lnic.Graph.placement_class) ->
+         match c.Clara_lnic.Graph.rep.Clara_lnic.Unit_.kind with
+         | Clara_lnic.Unit_.Accelerator k -> not (List.mem k options.disallowed_accels)
+         | Clara_lnic.Unit_.General_core _ -> true)
+
+let with_declared_entries (p : Clara_cir.Ir.program) (sizes : Clara_dataflow.Cost.sizes) =
+  { sizes with
+    Clara_dataflow.Cost.state_entries =
+      (fun s ->
+        let v = sizes.Clara_dataflow.Cost.state_entries s in
+        if v > 0. then v
+        else
+          match Clara_cir.Ir.state_obj_opt p s with
+          | Some o -> float_of_int o.Clara_cir.Ir.st_entries
+          | None -> 0.) }
+
+let undeclared f =
+  try f ()
+  with Clara_cir.Ir.Unknown_state s ->
+    Error
+      (Printf.sprintf
+         "NF references undeclared state '%s' (lint CLARA302 reports this \
+          statically)"
+         s)
+
 let unit_of_node t n = t.node_unit.(n)
 let placement_of_state t s = List.assoc_opt s t.state_place
 

@@ -38,6 +38,18 @@ type options = {
 
 val default_options : options
 
+val usable_classes :
+  options -> Clara_lnic.Graph.t -> Clara_lnic.Graph.placement_class list
+(** The placement classes minus those of [disallowed_accels]. *)
+
+val with_declared_entries :
+  Clara_cir.Ir.program -> Clara_dataflow.Cost.sizes -> Clara_dataflow.Cost.sizes
+(** [sizes] with the program's declared entry count wherever the caller
+    gave none ([<= 0]). *)
+
+val undeclared : (unit -> ('a, string) result) -> ('a, string) result
+(** Runs a mapper, turning {!Clara_cir.Ir.Unknown_state} into an [Error]. *)
+
 val unit_of_node : t -> int -> int
 val placement_of_state : t -> string -> placement option
 val pp : Clara_lnic.Graph.t -> Format.formatter -> t -> unit

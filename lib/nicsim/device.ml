@@ -231,14 +231,7 @@ let create_sim_shared lnic progs =
   in
   (* Remote-island CTM penalty, read off an actual cross-island bus when
      the topology has one. *)
-  let ctm_remote_penalty =
-    List.fold_left
-      (fun acc l ->
-        match l.L.Link.kind with
-        | L.Link.Access (_, _) -> max acc l.L.Link.weight_cycles
-        | _ -> acc)
-      0 lnic.L.Graph.links
-  in
+  let ctm_remote_penalty = L.Graph.max_access_weight lnic in
   let nprogs = max 1 (List.length progs) in
   {
     lnic;

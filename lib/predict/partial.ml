@@ -14,17 +14,6 @@ type split = {
   total_ns : float;
 }
 
-let node_state (n : D.Node.t) =
-  match n.D.Node.kind with
-  | D.Node.N_vcall v -> v.Ir.state
-  | D.Node.N_compute is ->
-      List.find_map
-        (function
-          | Ir.Load (Ir.L_state s) | Ir.Store (Ir.L_state s) | Ir.Atomic_op (Ir.L_state s) ->
-              Some s
-          | _ -> None)
-        is
-
 (* Expected ns of a node under a price context, on the unit it runs on. *)
 let node_ns price sizes (n : D.Node.t) =
   Option.map
@@ -64,7 +53,7 @@ let enumerate_splits ?(sizes = Price.default_sizes) ?(prob = D.Flow.default_prob
     let nic_states = Hashtbl.create 4 and host_states = Hashtbl.create 4 in
     Array.iteri
       (fun pos nid ->
-        match node_state (D.Graph.node df nid) with
+        match D.Node.state (D.Graph.node df nid) with
         | None -> ()
         | Some s ->
             if pos < k then Hashtbl.replace nic_states s ()

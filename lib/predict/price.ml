@@ -16,27 +16,19 @@ type t = {
   block_nodes : D.Node.t list array;  (* by CIR block id *)
 }
 
-(* A lookup over the NF's state objects; the first declaration of a name
-   wins. *)
-let state_table (df : D.Graph.t) f ~default =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (o : Ir.state_obj) ->
-      if not (Hashtbl.mem tbl o.Ir.st_name) then Hashtbl.add tbl o.Ir.st_name (f o))
-    (D.Graph.states df);
-  fun s -> Option.value ~default (Hashtbl.find_opt tbl s)
-
 let make lnic (df : D.Graph.t) units ~state_region =
   let threshold = lnic.L.Graph.params.L.Params.packet_ctm_threshold in
-  let state_footprint = state_table df Ir.state_bytes ~default:0 in
-  (* The placement of unit [u] for packets of [bytes]. *)
-  let place u bytes =
-    { D.Cost.lnic; exec_unit = u; state_region; state_footprint;
-      packet_region =
-        Clara_mapping.Encode.packet_region_for lnic u ~packet_bytes:(float_of_int bytes) }
+  let state_footprint s =
+    match Ir.state_obj_opt df.D.Graph.cir s with Some o -> Ir.state_bytes o | None -> 0
   in
   let price u n =
-    let small = place u threshold and large = place u (threshold + 1) in
+    let small =
+      D.Cost.placement lnic u ~packet_bytes:(float_of_int threshold) ~state_region
+        ~state_footprint
+    and large =
+      D.Cost.placement lnic u ~packet_bytes:(float_of_int (threshold + 1)) ~state_region
+        ~state_footprint
+    in
     let c = D.Cost.compile small n in
     { small = c;
       large =
@@ -60,7 +52,10 @@ let make lnic (df : D.Graph.t) units ~state_region =
     mapped;
     replay;
     state_entries =
-      state_table df (fun o -> float_of_int o.Ir.st_entries) ~default:0.;
+      (fun s ->
+        match Ir.state_obj_opt df.D.Graph.cir s with
+        | Some o -> float_of_int o.Ir.st_entries
+        | None -> 0.);
     block_nodes = D.Graph.block_nodes df;
   }
 

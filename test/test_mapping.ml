@@ -156,17 +156,57 @@ let test_accel_ablation_increases_cost () =
   check "accelerators reduce predicted cost" true
     (base.Map_.objective_cycles < no_accels.Map_.objective_cycles)
 
+(* Every corpus NF (and the inline sources above) on every NIC family:
+   the greedy mapping is a valid one — each node's unit can run it and
+   stages never decrease along edges — and the ILP never loses to it.
+   The [+. 1.] absorbs the ILP's integer rounding of node prices. *)
 let test_greedy_never_beats_ilp () =
-  let lnic = L.Netronome.default in
+  let sources =
+    [ ("nat (inline)", nat_src); ("lpm 8192", lpm_src 8192); ("lpm 30000", lpm_src 30000) ]
+    @ List.map
+        (fun (e : Clara_nfs.Corpus.entry) -> (e.Clara_nfs.Corpus.name, e.Clara_nfs.Corpus.source))
+        Clara_nfs.Corpus.all
+  in
   List.iter
-    (fun src ->
-      let df = D.Build.of_source src in
-      match (Enc.map_nf lnic df ~sizes ~prob, Gr.map_nf lnic df ~sizes ~prob) with
-      | Ok ilp, Ok greedy ->
-          check "ILP <= greedy (it optimizes the same objective)" true
-            (ilp.Map_.objective_cycles <= greedy.Map_.objective_cycles +. 1.)
-      | Error e, _ | _, Error e -> Alcotest.fail e)
-    [ nat_src; lpm_src 8192; lpm_src 30000 ]
+    (fun (tname, lnic) ->
+      List.iter
+        (fun (name, src) ->
+          let cell = Printf.sprintf "%s@%s" name tname in
+          let df = D.Build.of_source src in
+          match (Enc.map_nf lnic df ~sizes ~prob, Gr.map_nf lnic df ~sizes ~prob) with
+          | Ok ilp, Ok greedy ->
+              check (cell ^ ": ILP <= greedy (it optimizes the same objective)") true
+                (ilp.Map_.objective_cycles <= greedy.Map_.objective_cycles +. 1.);
+              let state_region s =
+                match Map_.placement_of_state greedy s with
+                | Some (Map_.In_memory m) -> m
+                | _ -> Alcotest.fail (cell ^ ": greedy left state " ^ s ^ " outside memory")
+              in
+              let footprint s = Ir.state_bytes (Ir.state_obj df.D.Graph.cir s) in
+              Array.iter
+                (fun (n : D.Node.t) ->
+                  let u = L.Graph.unit_ lnic greedy.Map_.node_unit.(n.D.Node.id) in
+                  let place =
+                    D.Cost.placement lnic u ~packet_bytes:sizes.D.Cost.packet_bytes
+                      ~state_region ~state_footprint:footprint
+                  in
+                  check
+                    (Printf.sprintf "%s: n%d runs on its unit" cell n.D.Node.id)
+                    true
+                    (D.Cost.compile place n <> None))
+                df.D.Graph.nodes;
+              List.iter
+                (fun (t, k) ->
+                  check
+                    (Printf.sprintf "%s: stage n%d <= n%d" cell t k)
+                    true
+                    (L.Graph.pipeline_ok lnic greedy.Map_.node_unit.(t)
+                       greedy.Map_.node_unit.(k)))
+                df.D.Graph.edges
+          | Error e, _ | _, Error e -> Alcotest.fail (cell ^ ": " ^ e))
+        sources)
+    [ ("netronome", L.Netronome.default); ("soc", L.Soc_nic.default);
+      ("bluefield", L.Bluefield.default) ]
 
 let test_state_too_big () =
   (* A state object larger than every region must be rejected. *)

@@ -233,6 +233,30 @@ let test_heavy_hitter_runs_repeat () =
   let r2 = Eng.run lnic hh tr in
   check "second run = first run" true (Stdlib.compare r1 r2 = 0)
 
+(* The example sources users copy from are the corpus programs: each
+   file equals the embedded source once the leading [//] comment lines
+   (and blank lines, the embedded sources open with one) are dropped
+   from both. *)
+let test_example_sources_match_corpus () =
+  let rec body s =
+    if s <> "" && (s.[0] = '\n' || String.starts_with ~prefix:"//" s) then
+      match String.index_opt s '\n' with
+      | Some i -> body (String.sub s (i + 1) (String.length s - i - 1))
+      | None -> ""
+    else s
+  in
+  List.iter
+    (fun (file, name) ->
+      let path = Filename.concat "../examples/nf_sources" file in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match Clara_nfs.Corpus.find name with
+      | None -> Alcotest.fail (name ^ " missing from the corpus")
+      | Some e ->
+          Alcotest.(check string) (file ^ " = corpus " ^ name)
+            (body e.Clara_nfs.Corpus.source) (body text))
+    [ ("dpi.clara", "dpi"); ("firewall.clara", "firewall"); ("lpm.clara", "lpm");
+      ("nat.clara", "nat"); ("syn_proxy.clara", "syn-proxy") ]
+
 let suite =
   [ Alcotest.test_case "all sources analyze (netronome)" `Quick test_all_sources_analyze;
     Alcotest.test_case "heavy-hitter runs repeat" `Quick test_heavy_hitter_runs_repeat;
@@ -248,4 +272,6 @@ let suite =
     Alcotest.test_case "partial split invariants" `Quick test_partial_split_invariants;
     Alcotest.test_case "energy estimates" `Quick test_energy_estimates;
     Alcotest.test_case "corpus registry" `Quick test_corpus_registry;
+    Alcotest.test_case "example sources match the corpus" `Quick
+      test_example_sources_match_corpus;
     Alcotest.test_case "host model" `Quick test_host_model_valid ]

@@ -176,7 +176,9 @@ let test_pipeline_populates_registry () =
           check (name ^ " non-negative") true (Obs.Span.total_ns s >= 0)
       | _ -> Alcotest.fail ("missing span " ^ name))
     [ "pipeline"; "pipeline/lower"; "pipeline/coarsen"; "pipeline/dataflow";
-      "pipeline/mapping"; "pipeline/mapping/encode"; "pipeline/mapping/solve";
+      "pipeline/mapping"; "pipeline/mapping/encode";
+      "pipeline/mapping/encode/price"; "pipeline/mapping/encode/model";
+      "pipeline/mapping/solve";
       "pipeline/mapping/solve/presolve"; "pipeline/mapping/solve/lp";
       "pipeline/mapping/decode"; "predict"; "nicsim" ];
   check "simplex solves" true (Obs.Registry.counter_value reg "ilp.simplex.solves" > 0);

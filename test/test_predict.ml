@@ -186,7 +186,7 @@ let test_symexec_flow_weight_consistency () =
                 | Some o -> Clara_cir.Ir.state_bytes o
                 | None -> 0);
             packet_region =
-              Clara_mapping.Encode.packet_region_for lnic unit_
+              Clara_dataflow.Cost.packet_region lnic unit_
                 ~packet_bytes:sizes_resolved.Clara_dataflow.Cost.packet_bytes };
         sizes = sizes_resolved }
     in
@@ -583,7 +583,7 @@ let reference_ctx lnic df mapping (u : L.Unit_.t) (pkt : W.Packet.t) =
             | _ -> external_mem);
         state_footprint =
           (fun s -> match decl s with Some o -> Ir.state_bytes o | None -> 0);
-        packet_region = Clara_mapping.Encode.packet_region_for lnic u ~packet_bytes;
+        packet_region = Clara_dataflow.Cost.packet_region lnic u ~packet_bytes;
       };
     sizes =
       {
